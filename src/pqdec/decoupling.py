@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import entropics, isometries, qmat
-from .entropics import spectrum_entropy
+from .entropics import EIGENVALUE_CLAMP, spectrum_entropy
 from .isometries import Isometry
 from .qmat import DimSig, ValidationError
 from .states import DensityMatrix, as_density
@@ -35,6 +35,25 @@ from .states import DensityMatrix, as_density
 UNBOUNDED = float("inf")
 FEASIBLE_TOL = 1e-6
 ACCEPT_SLACK = 1e-4
+# A restart whose kept share is this close to the lower bound cannot usefully
+# improve, so it skips its remaining penalty stages.
+LOWER_BOUND_SLACK = 2.5e-7
+# Leak above eps still accepted by that early stop: well inside FEASIBLE_TOL.
+EARLY_STOP_LEAK = 1e-7
+# _run_restarts stops at the first feasible restart this close to the lower
+# bound; looser than LOWER_BOUND_SLACK so a restart that stopped early counts.
+RESTART_STOP_SLACK = 5e-7
+# The push-under stages aim at half the feasibility tolerance, so the final
+# rescoring clears FEASIBLE_TOL with margin.
+PUSH_TARGET = 0.5 * FEASIBLE_TOL
+# Smallest decrease accepted as progress; below it a move is rounding noise.
+MIN_DECREASE = 1e-13
+# Descent step below which random directions can no longer find progress.
+MIN_STEP = 1e-8
+# A restart whose final descent step fell below this has converged.
+CONVERGED_STEP = 1e-7
+# Gradient norm below which the polish treats its point as stationary.
+POLISH_GRAD_TOL = 1e-9
 
 __all__ = [
     "ACCEPT_SLACK",
@@ -242,8 +261,8 @@ class _Scorer:
         rho_r = np.trace(self.rho4, axis1=1, axis2=3)
         self.s_r = spectrum_entropy(np.linalg.eigvalsh(rho_r))
 
-    def scores(self, w: np.ndarray) -> tuple[float, float]:
-        """Return raw (I(R:B), I(R:E)) for the isometry matrix ``w``."""
+    def _marginals(self, w: np.ndarray):
+        """The RB, RE, B and E marginals of (1 (x) w) rho (1 (x) w)^dag."""
         d_r, _, d_b, d_e = self.dims
         x = np.tensordot(self.rho4, w, axes=([1], [1]))
         y = np.tensordot(x, w.conj(), axes=([2], [1]))
@@ -256,17 +275,126 @@ class _Scorer:
         t_e = np.trace(
             t_re.reshape(d_r, d_e, d_r, d_e), axis1=0, axis2=2
         )
+        return t_rb, t_re, t_b, t_e
+
+    def scores(self, w: np.ndarray) -> tuple[float, float]:
+        """Return raw (I(R:B), I(R:E)) for the isometry matrix ``w``."""
+        t_rb, t_re, t_b, t_e = self._marginals(w)
         s_rb = spectrum_entropy(np.linalg.eigvalsh(t_rb))
         s_re = spectrum_entropy(np.linalg.eigvalsh(t_re))
         s_b = spectrum_entropy(np.linalg.eigvalsh(t_b))
         s_e = spectrum_entropy(np.linalg.eigvalsh(t_e))
         return self.s_r + s_b - s_rb, self.s_r + s_e - s_re
 
+    def gradient(self, w: np.ndarray, merit) -> np.ndarray:
+        """Gradient in ``w`` of ``merit(I(R:B), I(R:E))[0]``.
 
-def _expm_params(theta: np.ndarray, n: int) -> np.ndarray:
+        ``merit`` maps the raw scores to ``(value, d/dI(R:B), d/dI(R:E))``.
+        The result ``g`` has the shape of ``w`` and gives the first-order
+        change ``Re sum(g * dw)``.  Each entropy is differentiated as
+        :func:`spectrum_entropy` computes it, on the support of its marginal
+        only: eigenvalues at or below ``EIGENVALUE_CLAMP`` contribute zero to
+        the entropy and zero to its derivative.  At full rank this is the
+        exact derivative; on a rank-deficient marginal it is the derivative
+        of the clamped entropy, which stays finite where the unclamped one
+        diverges.
+        """
+        d_r, _, d_b, d_e = self.dims
+        t_rb, t_re, t_b, t_e = self._marginals(w)
+        s_rb, k_rb = _entropy_derivative(t_rb)
+        s_re, k_re = _entropy_derivative(t_re)
+        s_b, k_b = _entropy_derivative(t_b)
+        s_e, k_e = _entropy_derivative(t_e)
+        _, c_b, c_e = merit(self.s_r + s_b - s_rb, self.s_r + s_e - s_re)
+        # dI(R:B) = tr(dt_b k_b) - tr(dt_rb k_rb); lifted to R(x)B(x)E the
+        # two terms act as 1_R (x) k_b (x) 1_E and k_rb (x) 1_E.
+        eye_r = np.eye(d_r)
+        a_rb = c_b * (np.kron(eye_r, k_b) - k_rb)
+        a_re = c_e * (np.kron(eye_r, k_e) - k_re)
+        k = np.einsum(
+            "rbsc,ef->rbescf", a_rb.reshape(d_r, d_b, d_r, d_b), np.eye(d_e)
+        ) + np.einsum(
+            "resf,bc->rbescf", a_re.reshape(d_r, d_e, d_r, d_e), np.eye(d_b)
+        )
+        k = k.reshape(d_r, d_b * d_e, d_r, d_b * d_e)
+        # d tr(k t) = 2 Re tr(k (1 (x) dw) rho (1 (x) w)^dag) for Hermitian k.
+        z = np.tensordot(self.rho4, w.conj(), axes=([3], [1]))  # (s, a, r, o)
+        return 2.0 * np.tensordot(k, z, axes=([0, 1, 2], [2, 3, 0]))  # (p, a)
+
+
+def _entropy_derivative(sigma: np.ndarray) -> tuple[float, np.ndarray]:
+    """Clamped entropy of ``sigma`` and the Hermitian ``k`` with dS = tr(dsigma k).
+
+    ``k = -(log2 sigma + 1/ln 2)`` restricted to the eigenvectors whose
+    eigenvalue exceeds ``EIGENVALUE_CLAMP``, and zero on the rest, so that
+    it differentiates exactly what :func:`spectrum_entropy` sums.
+    """
+    lam, vec = np.linalg.eigh(sigma)
+    support = lam > EIGENVALUE_CLAMP
+    vec = vec[:, support]
+    lam = lam[support]
+    coef = -(np.log2(lam) + 1.0 / math.log(2.0))
+    return spectrum_entropy(lam), (vec * coef) @ vec.conj().T
+
+
+def _expm_params(theta: np.ndarray, n: int):
+    """Unitary ``exp(G(theta))`` with the eigendecomposition ``iG = v diag(w) v^dag``."""
     g = isometries._generator_from_parameters(np.asarray(theta, dtype=float), n)
-    w, u = np.linalg.eigh(1j * g)
-    return (u * np.exp(-1j * w)) @ u.conj().T
+    w, v = np.linalg.eigh(1j * g)
+    return (v * np.exp(-1j * w)) @ v.conj().T, w, v
+
+
+def _pull_back(g_w: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Gradient in theta from the gradient ``g_w`` in the leading columns of U.
+
+    ``U = exp(G) = v diag(exp(-i w)) v^dag``; its differential follows from
+    the Daleckii-Krein formula, ``dU = v (F o (v^dag dH v)) v^dag`` with
+    ``dH = i dG`` and the divided differences ``F`` of ``exp(-i x)`` at the
+    eigenvalues ``w`` (written with ``sinc`` so that close eigenvalues need
+    no special case).  The change ``Re sum(g_w * dU[:, :k])`` becomes
+    ``Re tr(gamma^dag dG)`` with a skew-Hermitian ``gamma``, and each
+    parameter's partial derivative is the matching entry of ``gamma``,
+    doubled for the strict upper triangle, where each parameter moves two
+    entries of ``G``.
+    """
+    k = g_w.shape[1]
+    dw = w[:, None] - w[None, :]
+    f = -1j * np.exp(-0.5j * (w[:, None] + w[None, :])) * np.sinc(dw / (2.0 * np.pi))
+    q = v.conj().T[:, :k] @ g_w.T @ v
+    q = v @ (q * f) @ v.conj().T
+    grad = isometries._parameters_from_generator(-0.5j * (q + q.conj().T))
+    grad[w.size :] *= 2.0
+    return grad
+
+
+def _objective(scorer: _Scorer, n: int, merit, rows: np.ndarray | None = None):
+    """The search objective over theta and its exact gradient.
+
+    The candidate isometry is the first ``d_a`` columns of the ``n x n``
+    unitary ``exp(G(theta))``; with ``rows`` given, those columns are
+    embedded in the listed rows of a ``d_b*d_e x d_a`` matrix (the
+    measurement family of :func:`povm_upper`).  The objective is
+    ``merit(I(R:B), I(R:E))[0]`` at that isometry.  Returns ``(f, grad)``.
+    """
+    d_a = scorer.dims[1]
+    side = scorer.dims[2] * scorer.dims[3]
+
+    def isometry(u):
+        if rows is None:
+            return u[:, :d_a]
+        out = np.zeros((side, d_a), dtype=complex)
+        out[rows, :] = u[:, :d_a]
+        return out
+
+    def f(theta):
+        return merit(*scorer.scores(isometry(_expm_params(theta, n)[0])))[0]
+
+    def grad(theta):
+        u, w, v = _expm_params(theta, n)
+        g_w = scorer.gradient(isometry(u), merit)
+        return _pull_back(g_w if rows is None else g_w[rows, :], w, v)
+
+    return f, grad
 
 
 def _descend(f, theta, value, step, iters, rng):
@@ -277,44 +405,46 @@ def _descend(f, theta, value, step, iters, rng):
         u *= step / float(np.linalg.norm(u))
         cand = theta + u
         v = f(cand)
-        if v < value - 1e-13:
+        if v < value - MIN_DECREASE:
             theta, value = cand, v
             step *= 1.4
             continue
         cand = theta - u
         v = f(cand)
-        if v < value - 1e-13:
+        if v < value - MIN_DECREASE:
             theta, value = cand, v
             step *= 1.4
         else:
             step *= 0.75
-            if step < 1e-8:
+            if step < MIN_STEP:
                 break
     return theta, value, step
 
 
-def _polish(f, theta, value, rounds, h=1e-5):
-    """Central-difference gradient descent with backtracking line search."""
-    n = theta.size
+def _polish(f, grad, theta, value, rounds):
+    """Steepest descent on the exact gradient with a backtracking line search.
+
+    Each round takes one closed-form gradient ``grad(theta)``, then evaluates
+    ``f`` only along the normalized descent direction, halving the step up to
+    25 times.  Returns ``(theta, value, stationary)``; ``stationary`` is set
+    when the gradient norm falls below ``POLISH_GRAD_TOL`` or no trial step
+    lowers the value.
+    """
     alpha = 0.1
-    grad = np.empty(n)
     stationary = False
     for _ in range(rounds):
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = h
-            grad[i] = (f(theta + e) - f(theta - e)) / (2.0 * h)
-        gn = float(np.linalg.norm(grad))
-        if gn < 1e-9:
+        g = grad(theta)
+        gn = float(np.linalg.norm(g))
+        if gn < POLISH_GRAD_TOL:
             stationary = True
             break
-        d = grad / gn
+        d = g / gn
         a = alpha
         improved = False
         for _ in range(25):
             cand = theta - a * d
             v = f(cand)
-            if v < value - 1e-13:
+            if v < value - MIN_DECREASE:
                 theta, value = cand, v
                 alpha = a * 1.5
                 improved = True
@@ -356,16 +486,30 @@ def _restart_theta(idx: int, opts: OptimizerOptions, d_a: int, d_b: int, d_e: in
     return rng.standard_normal(n2) * 0.7
 
 
-def _penalized(m_b: float, m_e: float, eps: float, weight: float, symmetric: bool) -> float:
+def _penalized(m_b: float, m_e: float, eps: float, weight: float, symmetric: bool):
+    """Penalized objective and its partial derivatives in ``m_b`` and ``m_e``.
+
+    Symmetric outputs minimize the larger share and penalize the smaller one
+    above ``eps``; otherwise ``m_b`` is minimized with penalties on ``m_e``
+    exceeding ``m_b`` or ``eps``.  Returns ``(value, d/dm_b, d/dm_e)``.
+    """
     if symmetric:
-        hi, lo = (m_b, m_e) if m_b >= m_e else (m_e, m_b)
-        if math.isinf(eps):
-            return hi
-        return hi + weight * max(0.0, lo - eps) ** 2
-    pen = weight * max(0.0, m_e - m_b) ** 2
+        over = 0.0 if math.isinf(eps) else max(0.0, min(m_b, m_e) - eps)
+        pen = weight * over**2
+        slope = 2.0 * weight * over
+        if m_b >= m_e:
+            return m_b + pen, 1.0, slope
+        return m_e + pen, slope, 1.0
+    cross = max(0.0, m_e - m_b)
+    over = 0.0 if math.isinf(eps) else max(0.0, m_e - eps)
+    pen = weight * cross**2
     if not math.isinf(eps):
-        pen += weight * max(0.0, m_e - eps) ** 2
-    return m_b + pen
+        pen += weight * over**2
+    return (
+        m_b + pen,
+        1.0 - 2.0 * weight * cross,
+        2.0 * weight * (cross + over),
+    )
 
 
 def _solve_restart(
@@ -382,13 +526,12 @@ def _solve_restart(
     n = d_b * d_e
 
     def raw(theta):
-        return scorer.scores(_expm_params(theta, n)[:, :d_a])
+        return scorer.scores(_expm_params(theta, n)[0][:, :d_a])
 
     def objective(weight):
-        def f(theta):
-            m_b, m_e = raw(theta)
+        def merit(m_b, m_e):
             return _penalized(m_b, m_e, eps, weight, symmetric)
-        return f
+        return _objective(scorer, n, merit)
 
     unconstrained = math.isinf(eps) and symmetric
     weights = [0.0] if unconstrained else [10.0 * 10.0 ** s for s in range(5)]
@@ -399,7 +542,7 @@ def _solve_restart(
     step = 0.3
     converged = False
     for stage, weight in enumerate(weights):
-        f = objective(weight)
+        f, _ = objective(weight)
         value = f(theta)
         theta, value, step = _descend(f, theta, value, max(step, 0.02), per_stage, rng)
         m_b, m_e = raw(theta)
@@ -407,11 +550,14 @@ def _solve_restart(
         # A restart that already sits at the lower bound and satisfies the
         # constraint cannot improve further; skip the remaining stages.
         hi = max(m_b, m_e) if symmetric else m_b
-        if hi <= stop_value + 2.5e-7 and (math.isinf(eps) or lo <= eps + 1e-7):
+        if hi <= stop_value + LOWER_BOUND_SLACK and (
+            math.isinf(eps) or lo <= eps + EARLY_STOP_LEAK
+        ):
             converged = True
             break
     else:
-        theta, value, converged = _polish(objective(weights[-1]), theta, value, polish_rounds)
+        f, grad = objective(weights[-1])
+        theta, value, converged = _polish(f, grad, theta, value, polish_rounds)
         # Push the discarded share under the privacy level if it still
         # overshoots; each extra stage raises the penalty tenfold.
         if not unconstrained:
@@ -419,14 +565,14 @@ def _solve_restart(
             for _ in range(3):
                 m_b, m_e = raw(theta)
                 lo = min(m_b, m_e) if symmetric else m_e
-                if math.isinf(eps) or lo <= eps + 0.5 * FEASIBLE_TOL:
+                if math.isinf(eps) or lo <= eps + PUSH_TARGET:
                     break
                 weight *= 10.0
-                f = objective(weight)
+                f, grad = objective(weight)
                 value = f(theta)
                 theta, value, step = _descend(f, theta, value, 0.02, per_stage // 2 + 1, rng)
-                theta, value, _ = _polish(f, theta, value, max(4, polish_rounds // 3))
-    if step < 1e-7:
+                theta, value, _ = _polish(f, grad, theta, value, max(4, polish_rounds // 3))
+    if step < CONVERGED_STEP:
         converged = True
 
     m_b, m_e = raw(theta)
@@ -452,7 +598,7 @@ def _run_restarts(count: int, runner: Callable[[int], dict], stop_value: float, 
     """
 
     def meets(res):
-        return res["feasible"] and res["i_rb"] <= stop_value + 5e-7
+        return res["feasible"] and res["i_rb"] <= stop_value + RESTART_STOP_SLACK
 
     results: list[dict | None] = [None] * count
     stop_index = count - 1
@@ -486,10 +632,11 @@ def optimize_xi(
     Runs ``opts.restarts`` independent descents (structured starts first,
     then seeded random ones), each a staged quadratic-penalty minimization of
     the larger mutual information subject to the smaller one staying below
-    ``eps``, finished with a central-difference gradient polish.  Returns the
-    best feasible candidate, with ties broken by the lowest restart index; if
-    no restart satisfies the privacy constraint within ``1e-4``, the returned
-    outcome reports the least-leaking candidate with ``feasible=False``.
+    ``eps``, finished with a steepest-descent polish on the exact gradient
+    of the penalized objective.  Returns the best feasible candidate, with
+    ties broken by the lowest restart index; if no restart satisfies the
+    privacy constraint within ``1e-4``, the returned outcome reports the
+    least-leaking candidate with ``feasible=False``.
 
     Identical inputs, options, and seed give an identical outcome regardless
     of the thread count.
@@ -562,12 +709,10 @@ def povm_upper(state: DensityMatrix, opts: OptimizerOptions | None = None) -> fl
     floor = xi_infinity(state)
     rows = np.arange(m) * m + np.arange(m)
 
-    def value_of(theta):
-        t = _expm_params(theta, m)[:, :d_a]
-        v = np.zeros((m * m, d_a), dtype=complex)
-        v[rows, :] = t
-        m_b, m_e = scorer.scores(v)
-        return 0.5 * (m_b + m_e)
+    def merit(m_b, m_e):
+        return 0.5 * (m_b + m_e), 0.5, 0.5
+
+    value_of, grad = _objective(scorer, m, merit, rows)
 
     def runner(idx: int):
         n2 = m * m
@@ -581,14 +726,14 @@ def povm_upper(state: DensityMatrix, opts: OptimizerOptions | None = None) -> fl
         value = value_of(theta)
         theta, value, step = _descend(value_of, theta, value, 0.3, opts.iterations, rng)
         rounds = min(50, max(8, opts.iterations // (3 * n2)))
-        theta, value, stationary = _polish(value_of, theta, value, rounds)
+        theta, value, stationary = _polish(value_of, grad, theta, value, rounds)
         return {
             "theta": theta,
             "i_rb": value,
             "i_re": value,
             "feasible": True,
             "near": True,
-            "converged": stationary or step < 1e-7,
+            "converged": stationary or step < CONVERGED_STEP,
         }
 
     considered, _ = _run_restarts(

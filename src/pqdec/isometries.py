@@ -249,19 +249,27 @@ def from_parameters(
     return Isometry(u[:, :d_a], _out_sig(d_b, d_e, labels), d_a)
 
 
-def _triu_indices(n: int):
-    return np.triu_indices(n, k=1)
-
-
 def _generator_from_parameters(t: np.ndarray, n: int) -> np.ndarray:
     g = np.zeros((n, n), dtype=complex)
     g[np.diag_indices(n)] = 1j * t[:n]
-    rows, cols = _triu_indices(n)
+    rows, cols = np.triu_indices(n, k=1)
     x = t[n : n + rows.size]
     y = t[n + rows.size :]
     g[rows, cols] = x + 1j * y
     g[cols, rows] = -x + 1j * y
     return g
+
+
+def _parameters_from_generator(g: np.ndarray) -> np.ndarray:
+    """Parameter vector of a skew-Hermitian generator.
+
+    Inverse of :func:`_generator_from_parameters`: the imaginary diagonal,
+    then the real and the imaginary parts of the strict upper triangle in
+    row-major order.
+    """
+    rows, cols = np.triu_indices(g.shape[0], k=1)
+    upper = g[rows, cols]
+    return np.concatenate([np.diagonal(g).imag, upper.real, upper.imag])
 
 
 def parameters_from_unitary(u: np.ndarray) -> np.ndarray:
@@ -276,13 +284,7 @@ def parameters_from_unitary(u: np.ndarray) -> np.ndarray:
     if defect > qmat.UNITARITY_TOL:
         raise ValidationError(f"matrix is not unitary: defect {defect:.3e}")
     g = scipy.linalg.logm(m)
-    g = 0.5 * (g - g.conj().T)
-    t = np.empty(n * n, dtype=float)
-    t[:n] = np.diagonal(g).imag
-    rows, cols = _triu_indices(n)
-    t[n : n + rows.size] = g[rows, cols].real
-    t[n + rows.size :] = g[rows, cols].imag
-    return t
+    return _parameters_from_generator(0.5 * (g - g.conj().T))
 
 
 def complete_to_unitary(v: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ flat index of basis vector ``|r, a>`` is ``r * 3 + a``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import isfinite, prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,7 +46,7 @@ class DimSig:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", tuple(_factor_dim(d) for d in self.dims))
         object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
         if len(self.dims) != len(self.labels):
             raise ValidationError(
@@ -81,6 +81,17 @@ class DimSig:
             raise KeyError(f"unknown labels {sorted(missing)}; have {self.labels}")
         pairs = [(d, x) for d, x in zip(self.dims, self.labels) if x in keep]
         return DimSig(tuple(d for d, _ in pairs), tuple(x for _, x in pairs))
+
+
+def _factor_dim(d) -> int:
+    """``d`` as an int, rejecting non-finite and non-integral values."""
+    try:
+        x = float(d)
+    except (TypeError, ValueError):
+        raise ValidationError(f"factor dimension {d!r} is not a number") from None
+    if not isfinite(x) or x != int(x):
+        raise ValidationError(f"factor dimension must be an integer, got {d!r}")
+    return int(x)
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -190,14 +201,17 @@ def validate_density(m: np.ndarray, tol: float = DENSITY_TOL) -> np.ndarray:
     """Check that ``m`` is a density matrix and return a cleaned copy.
 
     Rejects, with a diagnostic naming the violated property, any matrix that
-    is not Hermitian within ``tol``, whose trace differs from 1 by more than
-    ``tol``, or with an eigenvalue below ``-tol``.  Eigenvalues in
-    ``[-tol, 0)`` are clamped to zero and the spectrum renormalized.  A matrix
-    that is already clean at machine precision is returned unchanged, so that
-    reading a serialized state back preserves it bit for bit.
+    has a non-finite entry, is not Hermitian within ``tol``, whose trace
+    differs from 1 by more than ``tol``, or with an eigenvalue below
+    ``-tol``.  Eigenvalues in ``[-tol, 0)`` are clamped to zero and the
+    spectrum renormalized.  A matrix that is already clean at machine
+    precision is returned unchanged, so that reading a serialized state back
+    preserves it bit for bit.
     """
     clean_tol = 1e-12
     a = _as_matrix(m)
+    if not np.all(np.isfinite(a)):
+        raise ValidationError("density matrix has non-finite entries")
     defect = np.max(np.abs(a - a.conj().T))
     if defect > tol:
         raise ValidationError(

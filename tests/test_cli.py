@@ -187,3 +187,30 @@ def test_make_state_kinds(tmp_path, capsys):
     state = load_state(rand_path)
     assert state.sig.dims == (2, 3)
     assert int(np.sum(np.linalg.eigvalsh(state.matrix) > 1e-9)) == 2
+
+
+def bell_document():
+    flat = to_density(max_entangled(2)).matrix.flatten()
+    return {"labels": ["R", "A"], "dims": [2, 2], "matrix": [[z.real, z.imag] for z in flat]}
+
+
+def nan_entry(doc):
+    doc["matrix"][5][0] = float("nan")
+
+
+def fractional_dim(doc):
+    doc["dims"] = [2.5, 2]
+
+
+def nan_dim(doc):
+    doc["dims"] = [float("nan"), 2]
+
+
+@pytest.mark.parametrize("corrupt", [nan_entry, fractional_dim, nan_dim])
+def test_malformed_state_is_a_validation_failure(tmp_path, capsys, corrupt):
+    doc = bell_document()
+    corrupt(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["qmi", "--state", str(path), "--x", "R", "--y", "A"]) == 3
+    assert "validation failure" in capsys.readouterr().err

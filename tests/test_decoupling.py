@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pqdec import decoupling as dec
 from pqdec.decoupling import (
     UNBOUNDED,
     OptimizerOptions,
@@ -211,6 +212,88 @@ class TestPovmUpper:
         for seed in range(5):
             rho = random_density(4, 4, seed + 60, labels=("R", "A"), dims=(2, 2))
             assert povm_upper(rho, FAST) <= half_qmi_upper(rho) + 1e-6
+
+
+def central_difference(f, theta, h=1e-5):
+    grad = np.empty(theta.size)
+    for i in range(theta.size):
+        e = np.zeros(theta.size)
+        e[i] = h
+        grad[i] = (f(theta + e) - f(theta - e)) / (2.0 * h)
+    return grad
+
+
+def penalized_problem(rho, d_b, d_e, eps, weight):
+    d_r, d_a = rho.sig.dims
+    scorer = dec._Scorer(rho.matrix, d_r, d_a, d_b, d_e)
+
+    def merit(m_b, m_e):
+        return dec._penalized(m_b, m_e, eps, weight, d_b == d_e)
+
+    f, grad = dec._objective(scorer, d_b * d_e, merit)
+    return scorer, f, grad
+
+
+class TestExactGradient:
+    """The closed-form gradient of the search objective against central differences."""
+
+    def assert_matches(self, f, grad, theta):
+        exact = grad(theta)
+        approx = central_difference(f, theta)
+        assert np.all(np.isfinite(exact))
+        assert np.linalg.norm(exact - approx) <= 1e-6 * np.linalg.norm(approx)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_symmetric_unconstrained(self, d):
+        rho = random_density(d * d, d * d, 70 + d, labels=("R", "A"), dims=(d, d))
+        _, f, grad = penalized_problem(rho, d, d, UNBOUNDED, 0.0)
+        theta = np.random.default_rng(d).standard_normal(d**4) * 0.7
+        self.assert_matches(f, grad, theta)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_symmetric_with_active_penalty(self, d):
+        rho = random_density(d * d, d * d, 80 + d, labels=("R", "A"), dims=(d, d))
+        eps = 0.01
+        scorer, f, grad = penalized_problem(rho, d, d, eps, 1000.0)
+        theta = np.random.default_rng(10 + d).standard_normal(d**4) * 0.7
+        m_b, m_e = scorer.scores(from_parameters(theta, d, d, d).matrix)
+        assert min(m_b, m_e) > eps
+        self.assert_matches(f, grad, theta)
+
+    def test_asymmetric_outputs(self):
+        rho = random_density(4, 4, 91, labels=("R", "A"), dims=(2, 2))
+        for eps, weight in ((UNBOUNDED, 10.0), (0.01, 1000.0)):
+            _, f, grad = penalized_problem(rho, 2, 3, eps, weight)
+            theta = np.random.default_rng(5).standard_normal(36) * 0.7
+            self.assert_matches(f, grad, theta)
+
+    def test_measurement_objective(self):
+        rho = random_density(4, 4, 92, labels=("R", "A"), dims=(2, 2))
+        rng = np.random.default_rng(6)
+        # theta = 0 has a fully degenerate generator spectrum, while the
+        # two-outcome measurement keeps every marginal at full rank.
+        for m, theta in (
+            (2, np.zeros(4)),
+            (2, rng.standard_normal(4) * 0.7),
+            (3, rng.standard_normal(9) * 0.7),
+        ):
+            scorer = dec._Scorer(rho.matrix, 2, 2, m, m)
+            rows = np.arange(m) * m + np.arange(m)
+            f, grad = dec._objective(
+                scorer, m, lambda a, b: (0.5 * (a + b), 0.5, 0.5), rows
+            )
+            self.assert_matches(f, grad, theta)
+
+    def test_rank_deficient_marginal(self):
+        # At theta = 0 the input goes wholly into E and the B marginal is
+        # pure: its entropy is differentiated on its support only.
+        rho = random_density(4, 4, 93, labels=("R", "A"), dims=(2, 2))
+        _, f, grad = penalized_problem(rho, 2, 2, UNBOUNDED, 0.0)
+        theta = np.zeros(16)
+        g = grad(theta)
+        assert np.all(np.isfinite(g)) and np.linalg.norm(g) > 0.0
+        step = 1e-4 * g / np.linalg.norm(g)
+        assert f(theta - step) <= f(theta)
 
 
 class TestBoundsReport:

@@ -73,6 +73,10 @@ class TestDimSig:
             DimSig((2, 0), ("R", "A"))
         with pytest.raises(ValidationError):
             DimSig((2, 2), ("R", "R"))
+        for bad in (2.5, float("nan"), float("inf"), None):
+            with pytest.raises(ValidationError):
+                DimSig((bad, 2), ("R", "A"))
+        assert DimSig((2.0, np.int64(3)), ("R", "A")).dims == (2, 3)
         with pytest.raises(KeyError):
             DimSig((2,), ("R",)).axis("A")
         with pytest.raises(KeyError):
@@ -240,3 +244,8 @@ class TestValidateDensity:
             validate_density(np.diag([1.5, -0.5]).astype(complex))
         with pytest.raises(ValidationError):
             validate_density(np.zeros((2, 3)))
+        for bad in (np.nan, np.inf):
+            m = np.diag([0.5, 0.5]).astype(complex)
+            m[0, 1] = bad
+            with pytest.raises(ValidationError):
+                validate_density(m)
