@@ -24,14 +24,11 @@ from . import decoupling as dec
 from . import entropics as ent
 from . import scenarios as scn
 from . import states as st
+from .decoupling import _fmt
 from .isometries import isometry_to_json, save_isometry
 from .qmat import ValidationError
 
 __all__ = ["build_parser", "main"]
-
-
-def _fmt(x: float) -> str:
-    return "inf" if math.isinf(x) else format(float(x), ".12g")
 
 
 def _round12(x: float) -> float:
@@ -40,12 +37,11 @@ def _round12(x: float) -> float:
 
 def _eps_value(text: str) -> float:
     try:
-        value = float(text)
+        return dec._check_eps(text)
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a privacy level: {text!r}") from None
-    if math.isnan(value) or value < 0.0:
-        raise argparse.ArgumentTypeError("privacy level must be >= 0 (or inf)")
-    return value
 
 
 def _grid_value(text: str) -> list[float]:

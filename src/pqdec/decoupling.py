@@ -21,6 +21,7 @@ import io
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -263,10 +264,8 @@ class _Scorer:
 
     def _marginals(self, w: np.ndarray):
         """The RB, RE, B and E marginals of (1 (x) w) rho (1 (x) w)^dag."""
-        d_r, _, d_b, d_e = self.dims
-        x = np.tensordot(self.rho4, w, axes=([1], [1]))
-        y = np.tensordot(x, w.conj(), axes=([2], [1]))
-        t = y.transpose(0, 2, 1, 3).reshape(d_r, d_b, d_e, d_r, d_b, d_e)
+        d_r, d_a, d_b, d_e = self.dims
+        t = _conjugate(self.rho4, d_r, d_a, w).reshape(d_r, d_b, d_e, d_r, d_b, d_e)
         t_rb = np.trace(t, axis1=2, axis2=5).reshape(d_r * d_b, d_r * d_b)
         t_re = np.trace(t, axis1=1, axis2=4).reshape(d_r * d_e, d_r * d_e)
         t_b = np.trace(
@@ -367,17 +366,19 @@ def _pull_back(g_w: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return grad
 
 
-def _objective(scorer: _Scorer, n: int, merit, rows: np.ndarray | None = None):
+def _objective(scorer: _Scorer, merit, rows: np.ndarray | None = None):
     """The search objective over theta and its exact gradient.
 
     The candidate isometry is the first ``d_a`` columns of the ``n x n``
-    unitary ``exp(G(theta))``; with ``rows`` given, those columns are
-    embedded in the listed rows of a ``d_b*d_e x d_a`` matrix (the
-    measurement family of :func:`povm_upper`).  The objective is
-    ``merit(I(R:B), I(R:E))[0]`` at that isometry.  Returns ``(f, grad)``.
+    unitary ``exp(G(theta))``, with ``n = d_b*d_e``; with ``rows`` given,
+    ``n = len(rows)`` and those columns are embedded in the listed rows of a
+    ``d_b*d_e x d_a`` matrix (the measurement family of :func:`povm_upper`).
+    The objective is ``merit(I(R:B), I(R:E))[0]`` at that isometry.
+    Returns ``(f, grad)``.
     """
     d_a = scorer.dims[1]
     side = scorer.dims[2] * scorer.dims[3]
+    n = side if rows is None else len(rows)
 
     def isometry(u):
         if rows is None:
@@ -468,22 +469,18 @@ def _measurement_start(basis: np.ndarray, d_a: int, d_b: int, d_e: int) -> np.nd
     return isometries.parameters_from_unitary(u)
 
 
-def _restart_theta(idx: int, opts: OptimizerOptions, d_a: int, d_b: int, d_e: int):
-    n2 = (d_b * d_e) ** 2
-    if idx == 0:
-        if opts.warm_theta is not None:
-            return np.asarray(opts.warm_theta, dtype=float).copy()
-        return np.zeros(n2)
-    if idx == 1:
-        start = _measurement_start(np.eye(d_a, dtype=complex), d_a, d_b, d_e)
-        if start is not None:
-            return start
-    if idx == 2:
-        start = _measurement_start(isometries.fourier_basis(d_a), d_a, d_b, d_e)
-        if start is not None:
-            return start
-    rng = np.random.default_rng(opts.seed + idx)
-    return rng.standard_normal(n2) * 0.7
+def _warm_start(opts: OptimizerOptions, n: int) -> np.ndarray:
+    """Start of restart 0: a copy of ``opts.warm_theta`` if set, else zero."""
+    if opts.warm_theta is None:
+        return np.zeros(n * n)
+    theta = np.array(opts.warm_theta, dtype=float)
+    if theta.shape != (n * n,):
+        raise ValidationError(
+            f"warm start has shape {theta.shape}, expected ({n * n},)"
+        )
+    if not np.all(np.isfinite(theta)):
+        raise ValidationError("warm start has non-finite entries")
+    return theta
 
 
 def _penalized(m_b: float, m_e: float, eps: float, weight: float, symmetric: bool):
@@ -520,18 +517,15 @@ def _solve_restart(
     rng: np.random.Generator,
     symmetric: bool,
     stop_value: float,
+    rows: np.ndarray | None = None,
 ):
-    d_b, d_e = scorer.dims[2], scorer.dims[3]
-    d_a = scorer.dims[1]
-    n = d_b * d_e
-
-    def raw(theta):
-        return scorer.scores(_expm_params(theta, n)[0][:, :d_a])
+    # The raw (I(R:B), I(R:E)) through the objective's own candidate map.
+    raw, _ = _objective(scorer, lambda m_b, m_e: ((m_b, m_e),), rows)
 
     def objective(weight):
         def merit(m_b, m_e):
             return _penalized(m_b, m_e, eps, weight, symmetric)
-        return _objective(scorer, n, merit)
+        return _objective(scorer, merit, rows)
 
     unconstrained = math.isinf(eps) and symmetric
     weights = [0.0] if unconstrained else [10.0 * 10.0 ** s for s in range(5)]
@@ -593,35 +587,57 @@ def _solve_restart(
 def _run_restarts(count: int, runner: Callable[[int], dict], stop_value: float, threads: int):
     """Run restarts and keep those up to the first one that hits ``stop_value``.
 
-    The considered set depends only on the restart results, never on
-    execution order, so serial and threaded runs select the same winner.
+    Restarts run in index order in chunks of ``threads``, on a thread pool
+    when a chunk is wider than one; after each chunk the stop rule looks at
+    its results in index order.  The considered set depends only on the
+    restart results, never on execution order or chunk width, so serial and
+    threaded runs select the same winner.  Returns the considered results,
+    in restart order.
     """
 
     def meets(res):
         return res["feasible"] and res["i_rb"] <= stop_value + RESTART_STOP_SLACK
 
-    results: list[dict | None] = [None] * count
-    stop_index = count - 1
-    if threads <= 1 or count == 1:
-        for idx in range(count):
-            results[idx] = runner(idx)
-            if meets(results[idx]):
-                stop_index = idx
+    width = min(threads, count)
+    results: list[dict] = []
+    with ThreadPoolExecutor(width) if width > 1 else nullcontext() as pool:
+        mapper = pool.map if pool is not None else map
+        for start in range(0, count, width):
+            results += mapper(runner, range(start, min(start + width, count)))
+            hit = next((i for i in range(start, len(results)) if meets(results[i])), None)
+            if hit is not None:
+                del results[hit + 1 :]
                 break
-    else:
-        done = 0
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            while done < count:
-                chunk = list(range(done, min(done + threads, count)))
-                for idx, res in zip(chunk, pool.map(runner, chunk)):
-                    results[idx] = res
-                done = chunk[-1] + 1
-                hit = [i for i in range(done) if results[i] is not None and meets(results[i])]
-                if hit:
-                    stop_index = hit[0]
-                    break
-    considered = [(i, results[i]) for i in range(stop_index + 1) if results[i] is not None]
-    return considered, stop_index + 1
+    return results
+
+
+def _search(
+    scorer: _Scorer,
+    eps: float,
+    opts: OptimizerOptions,
+    stop_value: float,
+    starts: Sequence[np.ndarray | None],
+    rows: np.ndarray | None = None,
+):
+    """Run the restarts of one search over the candidates of ``_objective``.
+
+    Restart ``idx`` starts from ``starts[idx]``; past the list, or where an
+    entry is None, it starts from a seeded random point.  Returns what
+    :func:`_run_restarts` returns.
+    """
+    n = scorer.dims[2] * scorer.dims[3] if rows is None else len(rows)
+    symmetric = scorer.dims[2] == scorer.dims[3]
+
+    def runner(idx: int):
+        theta0 = starts[idx] if idx < len(starts) else None
+        if theta0 is None:
+            theta0 = np.random.default_rng(opts.seed + idx).standard_normal(n * n) * 0.7
+        # Descent directions draw from a substream distinct from the start
+        # values: both derive from the master seed by fixed offsets.
+        rng = np.random.default_rng(opts.seed + 100003 + idx)
+        return _solve_restart(scorer, theta0, eps, opts, rng, symmetric, stop_value, rows)
+
+    return _run_restarts(max(1, opts.restarts), runner, stop_value, opts.thread_count())
 
 
 def optimize_xi(
@@ -650,38 +666,27 @@ def optimize_xi(
         raise ValidationError(
             f"output side {d_b}x{d_e} cannot accommodate input dimension {d_a}"
         )
-    symmetric = d_b == d_e
     scorer = _Scorer(state.matrix, d_r, d_a, d_b, d_e)
-    stop_value = prop1_lower(state, eps)
-
-    def runner(idx: int):
-        theta0 = _restart_theta(idx, opts, d_a, d_b, d_e)
-        # Descent directions draw from a substream distinct from the start
-        # values: both derive from the master seed by fixed offsets.
-        rng = np.random.default_rng(opts.seed + 100003 + idx)
-        return _solve_restart(scorer, theta0, eps, opts, rng, symmetric, stop_value)
-
-    considered, used = _run_restarts(
-        max(1, opts.restarts), runner, stop_value, opts.thread_count()
-    )
-
-    feasible = [(res["i_rb"], idx, res) for idx, res in considered if res["feasible"]]
-    if feasible:
-        _, idx, best = min(feasible, key=lambda t: (t[0], t[1]))
-        chosen_feasible = True
+    starts = [
+        _warm_start(opts, d_b * d_e),
+        _measurement_start(np.eye(d_a, dtype=complex), d_a, d_b, d_e),
+        _measurement_start(isometries.fourier_basis(d_a), d_a, d_b, d_e),
+    ]
+    results = _search(scorer, eps, opts, prop1_lower(state, eps), starts)
+    # min keeps the first of equal values: ties go to the lowest restart.
+    pool = [r for r in results if r["feasible"]] or [r for r in results if r["near"]]
+    if pool:
+        best = min(pool, key=lambda r: r["i_rb"])
     else:
-        near = [(res["i_rb"], idx, res) for idx, res in considered if res["near"]]
-        pool = near if near else [(res["i_re"], idx, res) for idx, res in considered]
-        _, idx, best = min(pool, key=lambda t: (t[0], t[1]))
-        chosen_feasible = best["feasible"]
+        best = min(results, key=lambda r: r["i_re"])
 
     return DecouplingOutcome(
         theta=best["theta"],
         i_rb=float(best["i_rb"]),
         i_re=float(best["i_re"]),
         epsilon=eps,
-        feasible=bool(chosen_feasible),
-        restarts_used=used,
+        feasible=bool(best["feasible"]),
+        restarts_used=len(results),
         converged=bool(best["converged"]),
         d_a=d_a,
         d_b=d_b,
@@ -693,10 +698,14 @@ def povm_upper(state: DensityMatrix, opts: OptimizerOptions | None = None) -> fl
     """Least kept correlations over rank-one measurement isometries.
 
     Parameterizes the measurement by a unitary on an ``m``-outcome space
-    (``opts.povm_elements``, default the acted dimension) and minimizes the
-    common value of the two output correlations.  The result is an upper
-    bound on the optimum at unbounded privacy, since both outputs of a
-    measurement isometry carry identical correlations with the reference.
+    (``opts.povm_elements``, default the acted dimension), embeds it in the
+    rows ``|k>_B (x) |k>_E`` of an ``m*m``-dimensional output, and runs the
+    unbounded-privacy search of :func:`optimize_xi` over that sub-family,
+    from the identity and the Fourier measurement, stopping at
+    :func:`xi_infinity`.  Both outputs of a measurement isometry carry
+    identical correlations with the reference, so the larger share that the
+    search minimizes is their common value.  The result is an upper bound on
+    the optimum at unbounded privacy.
     """
     opts = opts if opts is not None else OptimizerOptions()
     _, _, d_r, d_a = _bipartite(state)
@@ -706,40 +715,10 @@ def povm_upper(state: DensityMatrix, opts: OptimizerOptions | None = None) -> fl
             f"need at least {d_a} measurement outcomes, got {m}"
         )
     scorer = _Scorer(state.matrix, d_r, d_a, m, m)
-    floor = xi_infinity(state)
     rows = np.arange(m) * m + np.arange(m)
-
-    def merit(m_b, m_e):
-        return 0.5 * (m_b + m_e), 0.5, 0.5
-
-    value_of, grad = _objective(scorer, m, merit, rows)
-
-    def runner(idx: int):
-        n2 = m * m
-        if idx == 0:
-            theta = np.zeros(n2)
-        elif idx == 1:
-            theta = isometries.parameters_from_unitary(isometries.fourier_basis(m))
-        else:
-            theta = np.random.default_rng(opts.seed + idx).standard_normal(n2) * 0.7
-        rng = np.random.default_rng(opts.seed + 100003 + idx)
-        value = value_of(theta)
-        theta, value, step = _descend(value_of, theta, value, 0.3, opts.iterations, rng)
-        rounds = min(50, max(8, opts.iterations // (3 * n2)))
-        theta, value, stationary = _polish(value_of, grad, theta, value, rounds)
-        return {
-            "theta": theta,
-            "i_rb": value,
-            "i_re": value,
-            "feasible": True,
-            "near": True,
-            "converged": stationary or step < CONVERGED_STEP,
-        }
-
-    considered, _ = _run_restarts(
-        max(1, opts.restarts), runner, floor, opts.thread_count()
-    )
-    return float(min(res["i_rb"] for _, res in considered))
+    starts = [np.zeros(m * m), isometries.parameters_from_unitary(isometries.fourier_basis(m))]
+    results = _search(scorer, UNBOUNDED, opts, xi_infinity(state), starts, rows)
+    return float(min(res["i_rb"] for res in results))
 
 
 def bounds_report(

@@ -92,6 +92,8 @@ class RankOnePovm:
         d = vecs[0].shape[0]
         if any(v.shape[0] != d for v in vecs):
             raise ValidationError("measurement vectors must share one dimension")
+        if not all(np.all(np.isfinite(v)) for v in vecs):
+            raise ValidationError("measurement vectors have non-finite entries")
         total = sum(np.outer(v, v.conj()) for v in vecs)
         defect = float(np.max(np.abs(total - np.eye(d))))
         if defect > qmat.UNITARITY_TOL:
@@ -106,8 +108,10 @@ class RankOnePovm:
 
 
 def validate_isometry(v: Isometry, tol: float = qmat.UNITARITY_TOL) -> None:
-    """Raise unless ``v.matrix`` has orthonormal columns within ``tol``."""
+    """Raise unless ``v.matrix`` is finite with orthonormal columns within ``tol``."""
     m = v.matrix
+    if not np.all(np.isfinite(m)):
+        raise ValidationError("isometry matrix has non-finite entries")
     defect = float(np.max(np.abs(m.conj().T @ m - np.eye(v.in_dim))))
     if defect > tol:
         raise ValidationError(
@@ -244,6 +248,8 @@ def from_parameters(
         raise ValidationError(
             f"parameter vector has length {t.shape[0]}, expected {n * n}"
         )
+    if not np.all(np.isfinite(t)):
+        raise ValidationError("parameter vector has non-finite entries")
     g = _generator_from_parameters(t, n)
     u = qmat.expm_skew(g)
     return Isometry(u[:, :d_a], _out_sig(d_b, d_e, labels), d_a)

@@ -175,6 +175,8 @@ def expm_skew(g: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     if ``1j*g = u diag(w) u^dag`` then ``exp(g) = u diag(exp(-1j*w)) u^dag``.
     """
     a = _as_matrix(g)
+    if not np.all(np.isfinite(a)):
+        raise ValidationError("generator has non-finite entries")
     defect = np.max(np.abs(a + a.conj().T)) if a.size else 0.0
     if defect > tol:
         raise ValidationError(

@@ -164,6 +164,15 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("eps", ["-1", "nan", "abc"])
+def test_bad_eps_is_a_usage_error(tmp_path, capsys, eps):
+    bell = make_bell(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(["optimize", "--state", bell, "--eps", eps])
+    assert err.value.code == 2
+    assert "--eps" in capsys.readouterr().err
+
+
 def test_make_state_kinds(tmp_path, capsys):
     iso_path = tmp_path / "iso.json"
     assert main(["make-state", "isotropic", "--d", "2", "--fidelity", "0.9", "--out", str(iso_path)]) == 0

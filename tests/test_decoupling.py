@@ -173,6 +173,18 @@ class TestOptimize:
         assert np.array_equal(a.theta, c.theta)
         assert a.restarts_used == c.restarts_used
 
+    def test_search_identical_for_any_thread_count(self):
+        # A state whose search runs past restart 0, so that chunks of 2 and
+        # 3 restarts meet the stop rule at different points.
+        rho = random_density(4, 4, 31, labels=("R", "A"), dims=(2, 2))
+        runs = []
+        for threads in (1, 2, 3):
+            opts = OptimizerOptions(restarts=4, iterations=300, seed=7, threads=threads)
+            out = optimize_xi(rho, UNBOUNDED, opts)
+            runs.append((out.theta.tobytes(), out.restarts_used, out.i_rb, povm_upper(rho, opts)))
+        assert runs[0][1] >= 2
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
     def test_certificate_reproduces_scores(self):
         out = optimize_xi(BELL, UNBOUNDED, FAST)
         replay = apply_isometry(BELL, outcome_isometry(out))
@@ -191,6 +203,12 @@ class TestOptimize:
         warm = OptimizerOptions(restarts=1, iterations=100, seed=1, warm_theta=first.theta)
         second = optimize_xi(BELL, UNBOUNDED, warm)
         assert second.i_rb <= first.i_rb + 1e-6
+
+    def test_malformed_warm_start_rejected(self):
+        for warm in (np.zeros(15), np.full(16, np.nan)):
+            opts = OptimizerOptions(restarts=1, iterations=10, warm_theta=warm)
+            with pytest.raises(ValidationError):
+                optimize_xi(BELL, UNBOUNDED, opts)
 
     def test_eps_validation(self):
         with pytest.raises(ValidationError):
@@ -230,7 +248,7 @@ def penalized_problem(rho, d_b, d_e, eps, weight):
     def merit(m_b, m_e):
         return dec._penalized(m_b, m_e, eps, weight, d_b == d_e)
 
-    f, grad = dec._objective(scorer, d_b * d_e, merit)
+    f, grad = dec._objective(scorer, merit)
     return scorer, f, grad
 
 
@@ -279,9 +297,7 @@ class TestExactGradient:
         ):
             scorer = dec._Scorer(rho.matrix, 2, 2, m, m)
             rows = np.arange(m) * m + np.arange(m)
-            f, grad = dec._objective(
-                scorer, m, lambda a, b: (0.5 * (a + b), 0.5, 0.5), rows
-            )
+            f, grad = dec._objective(scorer, lambda a, b: (0.5 * (a + b), 0.5, 0.5), rows)
             self.assert_matches(f, grad, theta)
 
     def test_rank_deficient_marginal(self):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,10 @@ class TestPovmIsometry:
         with pytest.raises(ValidationError):
             RankOnePovm((np.array([1.0, 0.0]),))
 
+    def test_rejects_non_finite_vectors(self):
+        with pytest.raises(ValidationError):
+            RankOnePovm((np.array([np.nan, 0.0]), np.array([0.0, 1.0])))
+
 
 class TestParameterization:
     def test_zero_parameters_give_identity_embedding(self):
@@ -187,6 +193,11 @@ class TestParameterization:
             from_parameters(np.zeros(16), 5, 2, 2)
         with pytest.raises(ValidationError):
             parameters_from_unitary(np.ones((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameters_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            from_parameters(np.full(16, bad), 2, 2, 2)
 
 
 class TestCompleteToUnitary:
@@ -243,3 +254,9 @@ def test_json_rejects_malformed_documents():
         isometry_from_json(
             '{"d_in": 1, "d_B": 1, "d_E": 1, "matrix": [[2.0, 0.0]]}'
         )
+
+
+def test_json_rejects_non_finite_entries():
+    doc = {"d_in": 2, "d_B": 2, "d_E": 2, "matrix": [[float("nan"), 0.0]] * 8}
+    with pytest.raises(ValidationError):
+        isometry_from_json(json.dumps(doc))

@@ -194,6 +194,11 @@ class TestExpmSkew:
         with pytest.raises(ValidationError):
             expm_skew(np.eye(2))
 
+    def test_rejects_non_finite(self):
+        # NaN passes the skew-Hermitian defect test, since NaN > tol is False.
+        with pytest.raises(ValidationError):
+            expm_skew(np.full((2, 2), np.nan))
+
 
 class TestTraceDistance:
     def test_classical_formula(self):
