@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import qmat
 from .qmat import DimSig, ValidationError
@@ -107,17 +106,25 @@ class RankOnePovm:
         return self.vectors[0].shape[0]
 
 
+def _check_orthonormal(m: np.ndarray, message: str, tol: float = qmat.UNITARITY_TOL) -> None:
+    """Raise unless ``max |m^dag m - 1| <= tol``; a NaN defect fails too.
+
+    ``message`` is formatted with ``defect`` and ``tol``.
+    """
+    defect = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1]))))
+    if not defect <= tol:
+        raise ValidationError(message.format(defect=defect, tol=tol))
+
+
 def validate_isometry(v: Isometry, tol: float = qmat.UNITARITY_TOL) -> None:
     """Raise unless ``v.matrix`` is finite with orthonormal columns within ``tol``."""
-    m = v.matrix
-    if not np.all(np.isfinite(m)):
+    if not np.all(np.isfinite(v.matrix)):
         raise ValidationError("isometry matrix has non-finite entries")
-    defect = float(np.max(np.abs(m.conj().T @ m - np.eye(v.in_dim))))
-    if defect > tol:
-        raise ValidationError(
-            f"columns are not orthonormal: max |V^dag V - 1| = {defect:.3e} "
-            f"exceeds {tol:.1e}"
-        )
+    _check_orthonormal(
+        v.matrix,
+        "columns are not orthonormal: max |V^dag V - 1| = {defect:.3e} exceeds {tol:.1e}",
+        tol,
+    )
 
 
 def _out_sig(d_b: int, d_e: int, labels: tuple[str, str]) -> DimSig:
@@ -281,15 +288,20 @@ def _parameters_from_generator(g: np.ndarray) -> np.ndarray:
 def parameters_from_unitary(u: np.ndarray) -> np.ndarray:
     """Parameter vector whose generator exponentiates back to ``u``.
 
-    Inverse of the packing used by :func:`from_parameters`, up to the branch
-    choice of the matrix logarithm.
+    Inverse of the packing used by :func:`from_parameters`.  The generator is
+    the principal logarithm ``q diag(i phi) q^dag`` of the eigendecomposition
+    ``u = q diag(e^(i phi)) q^dag``, with eigenphases ``phi`` in [-pi, pi].
+    An eigenvalue -1 may get either sign of pi, even within one degenerate
+    eigenspace; every choice exponentiates back to ``u``.
     """
     m = np.asarray(u, dtype=complex)
-    n = m.shape[0]
-    defect = float(np.max(np.abs(m.conj().T @ m - np.eye(n))))
-    if defect > qmat.UNITARITY_TOL:
-        raise ValidationError(f"matrix is not unitary: defect {defect:.3e}")
-    g = scipy.linalg.logm(m)
+    _check_orthonormal(m, "matrix is not unitary: defect {defect:.3e}")
+    w, v = np.linalg.eig(m)
+    # eig may return a skewed basis of a degenerate eigenspace.  QR makes it
+    # orthonormal and keeps each column in its eigenspace, since the
+    # eigenspaces of a unitary are mutually orthogonal.
+    q, _ = np.linalg.qr(v)
+    g = (q * (1j * np.angle(w))) @ q.conj().T
     return _parameters_from_generator(0.5 * (g - g.conj().T))
 
 
@@ -301,9 +313,7 @@ def complete_to_unitary(v: np.ndarray) -> np.ndarray:
     """
     m = np.asarray(v, dtype=complex)
     n, k = m.shape
-    defect = float(np.max(np.abs(m.conj().T @ m - np.eye(k))))
-    if defect > qmat.UNITARITY_TOL:
-        raise ValidationError(f"columns are not orthonormal: defect {defect:.3e}")
+    _check_orthonormal(m, "columns are not orthonormal: defect {defect:.3e}")
     if n == k:
         return m.copy()
     q, _ = np.linalg.qr(m, mode="complete")
@@ -337,9 +347,7 @@ def random_unitary_channel_dilation(
     for u in us:
         if u.shape != (d, d):
             raise ValidationError("unitaries must share one square shape")
-        defect = float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
-        if defect > qmat.UNITARITY_TOL:
-            raise ValidationError(f"operator is not unitary: defect {defect:.3e}")
+        _check_orthonormal(u, "operator is not unitary: defect {defect:.3e}")
     k = len(us)
     m = np.zeros((d * k, d), dtype=complex)
     for i, (w, u) in enumerate(zip(ps, us)):
@@ -355,12 +363,11 @@ def random_unitary_channel_dilation(
 
 
 def isometry_to_json(v: Isometry) -> str:
-    flat = v.matrix.reshape(-1)
     payload = {
         "d_in": v.in_dim,
         "d_B": v.d_b,
         "d_E": v.d_e,
-        "matrix": [[float(z.real), float(z.imag)] for z in flat],
+        "matrix": qmat.matrix_to_entries(v.matrix),
     }
     return json.dumps(payload)
 
@@ -374,12 +381,7 @@ def isometry_from_json(text: str) -> Isometry:
         entries = payload["matrix"]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed isometry document: {exc}") from exc
-    rows = d_b * d_e
-    if len(entries) != rows * d_in:
-        raise ValidationError(
-            f"matrix has {len(entries)} entries, expected {rows * d_in}"
-        )
-    m = np.array([complex(re, im) for re, im in entries]).reshape(rows, d_in)
+    m = qmat.matrix_from_entries(entries, d_b * d_e, d_in)
     iso = Isometry(m, _out_sig(d_b, d_e, ("B", "E")), d_in)
     validate_isometry(iso)
     return iso

@@ -28,6 +28,8 @@ __all__ = [
     "eig_hermitian",
     "expm_skew",
     "kron",
+    "matrix_from_entries",
+    "matrix_to_entries",
     "partial_trace",
     "trace_distance",
     "validate_density",
@@ -236,3 +238,32 @@ def validate_density(m: np.ndarray, tol: float = DENSITY_TOL) -> np.ndarray:
     w = w / w.sum()
     cleaned = (u * w) @ u.conj().T
     return 0.5 * (cleaned + cleaned.conj().T)
+
+
+# ---------------------------------------------------------------------------
+# JSON entries of a matrix: ``[[re, im], ...]`` in row-major order, floats at
+# full precision, so that a round trip is exact.
+
+
+def matrix_to_entries(m: np.ndarray) -> list[list[float]]:
+    """The ``[[re, im], ...]`` entries of ``m`` in row-major order."""
+    flat = np.asarray(m, dtype=complex).reshape(-1)
+    return np.column_stack((flat.real, flat.imag)).tolist()
+
+
+def matrix_from_entries(entries, rows: int, cols: int) -> np.ndarray:
+    """The ``rows x cols`` complex matrix of ``[[re, im], ...]`` entries.
+
+    Inverse of :func:`matrix_to_entries`, bit for bit.  Raises
+    :class:`ValidationError` unless ``entries`` is a list of ``rows * cols``
+    pairs of real numbers.
+    """
+    try:
+        a = np.array(entries)
+    except ValueError:  # ragged nesting
+        a = np.array(None)
+    if a.dtype.kind not in "iuf" or a.ndim != 2 or a.shape[1] != 2:
+        raise ValidationError("matrix entries must be [re, im] pairs of real numbers")
+    if a.shape[0] != rows * cols:
+        raise ValidationError(f"matrix has {a.shape[0]} entries, expected {rows * cols}")
+    return np.ascontiguousarray(a, dtype=float).view(complex).reshape(rows, cols)

@@ -281,11 +281,10 @@ def purify(state: DensityMatrix, new_label: str = "S") -> PureState:
 
 
 def state_to_json(state: DensityMatrix) -> str:
-    flat = state.matrix.reshape(-1)
     payload = {
         "labels": list(state.sig.labels),
         "dims": list(state.sig.dims),
-        "matrix": [[float(z.real), float(z.imag)] for z in flat],
+        "matrix": qmat.matrix_to_entries(state.matrix),
     }
     return json.dumps(payload)
 
@@ -299,14 +298,7 @@ def state_from_json(text: str, tol: float = qmat.DENSITY_TOL) -> DensityMatrix:
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ValidationError(f"malformed state document: {exc}") from exc
     sig = DimSig(dims, labels)
-    side = sig.side
-    if len(entries) != side * side:
-        raise ValidationError(
-            f"matrix has {len(entries)} entries, expected {side * side}"
-        )
-    m = np.array(
-        [complex(re, im) for re, im in entries], dtype=complex
-    ).reshape(side, side)
+    m = qmat.matrix_from_entries(entries, sig.side, sig.side)
     return as_density(m, sig, tol)
 
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pqdec
 from pqdec.cli import main
 from pqdec.decoupling import apply_isometry, decoupling_scores
 from pqdec.isometries import load_isometry
@@ -215,7 +219,21 @@ def nan_dim(doc):
     doc["dims"] = [float("nan"), 2]
 
 
-@pytest.mark.parametrize("corrupt", [nan_entry, fractional_dim, nan_dim])
+def text_entry(doc):
+    doc["matrix"][5] = ["a", 0]
+
+
+def scalar_matrix(doc):
+    doc["matrix"] = 5
+
+
+def short_entry(doc):
+    doc["matrix"][5] = [0.25]
+
+
+@pytest.mark.parametrize(
+    "corrupt", [nan_entry, fractional_dim, nan_dim, text_entry, scalar_matrix, short_entry]
+)
 def test_malformed_state_is_a_validation_failure(tmp_path, capsys, corrupt):
     doc = bell_document()
     corrupt(doc)
@@ -223,3 +241,10 @@ def test_malformed_state_is_a_validation_failure(tmp_path, capsys, corrupt):
     path.write_text(json.dumps(doc))
     assert main(["qmi", "--state", str(path), "--x", "R", "--y", "A"]) == 3
     assert "validation failure" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(pqdec.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, pqdec; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

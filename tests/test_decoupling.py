@@ -21,6 +21,7 @@ from pqdec.decoupling import (
 from pqdec.entropics import coherent_information, mutual_information
 from pqdec.isometries import (
     RankOnePovm,
+    fourier_basis,
     from_parameters,
     mub_shredder,
     povm_isometry,
@@ -213,6 +214,15 @@ class TestOptimize:
     def test_eps_validation(self):
         with pytest.raises(ValidationError):
             optimize_xi(BELL, -1.0, FAST)
+
+    def test_fourier_start_is_the_fourier_measurement(self):
+        # Its completion to a unitary has a degenerate eigenvalue -1.
+        basis = fourier_basis(4)
+        want = np.zeros((20, 4), dtype=complex)
+        for m in range(4):
+            want[m * 5 + m, :] = basis[:, m].conj()
+        theta = dec._measurement_start(basis, 4, 4, 5)
+        assert np.max(np.abs(from_parameters(theta, 4, 4, 5).matrix - want)) <= 1e-12
 
 
 class TestPovmUpper:

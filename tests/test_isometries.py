@@ -181,10 +181,13 @@ class TestParameterization:
 
     def test_round_trip_through_unitary(self):
         for seed in range(4):
-            u = random_unitary(4, seed)
-            theta = parameters_from_unitary(u)
-            v = from_parameters(theta, 4, 2, 2)
-            assert np.max(np.abs(v.matrix - u)) <= 1e-9
+            w = random_unitary(4, seed)
+            # A degenerate eigenvalue -1 sits on the branch cut of the log.
+            on_cut = [w @ np.diag(d) @ w.conj().T for d in ([-1, -1, -1, 1j], [-1, -1, 1, 1])]
+            for u in [w] + on_cut:
+                theta = parameters_from_unitary(u)
+                v = from_parameters(theta, 4, 2, 2)
+                assert np.max(np.abs(v.matrix - u)) <= 1e-9
 
     def test_parameter_length_checked(self):
         with pytest.raises(ValidationError):
@@ -254,6 +257,9 @@ def test_json_rejects_malformed_documents():
         isometry_from_json(
             '{"d_in": 1, "d_B": 1, "d_E": 1, "matrix": [[2.0, 0.0]]}'
         )
+    for matrix in ('[["a", 0]]', "5", "[[0.25]]"):
+        with pytest.raises(ValidationError):
+            isometry_from_json(f'{{"d_in": 1, "d_B": 1, "d_E": 1, "matrix": {matrix}}}')
 
 
 def test_json_rejects_non_finite_entries():
