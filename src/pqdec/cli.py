@@ -22,6 +22,7 @@ import numpy as np
 
 from . import decoupling as dec
 from . import entropics as ent
+from . import qmat
 from . import scenarios as scn
 from . import states as st
 from .decoupling import _fmt
@@ -35,13 +36,21 @@ def _round12(x: float) -> float:
     return float(format(float(x), ".12g"))
 
 
-def _eps_value(text: str) -> float:
-    try:
-        return dec._check_eps(text)
-    except ValidationError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a privacy level: {text!r}") from None
+def _checked(check, what: str):
+    """An argparse type that parses with ``check``; its failures are usage errors."""
+
+    def parse(text: str) -> float:
+        try:
+            return check(text)
+        except ValidationError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a {what}: {text!r}") from None
+
+    return parse
+
+
+_eps_value = _checked(dec._check_eps, "privacy level")
 
 
 def _grid_value(text: str) -> list[float]:
@@ -98,7 +107,7 @@ def _add_state_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--state", required=True, help="state JSON file")
     p.add_argument(
         "--tol",
-        type=float,
+        type=_checked(qmat._check_tol, "tolerance"),
         default=None,
         help="validation tolerance override for reading the state (default 1e-9)",
     )
@@ -113,7 +122,10 @@ def _load(args: argparse.Namespace) -> st.DensityMatrix:
 def _add_optimizer_flags(p: argparse.ArgumentParser, with_dims: bool = False) -> None:
     p.add_argument("--restarts", type=_positive_int, default=32, help="search restarts (default 32)")
     p.add_argument(
-        "--iterations", type=_positive_int, default=2000, help="descent budget per restart (default 2000)"
+        "--iterations",
+        type=_positive_int,
+        default=2000,
+        help="descent budget per restart, 8 per L-BFGS iteration (default 2000)",
     )
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.add_argument(

@@ -5,9 +5,11 @@ isometry into B (kept) and E (discarded) redistributes the R-A correlations:
 I(R:B) + I(R:E) always reproduces I(R:A) on pure inputs, and the question is
 how small the kept share I(R:B) can be made while the discarded share I(R:E)
 stays below a privacy level eps and below I(R:B) itself.  This module
-provides the closed-form bounds on that minimum, a penalty-based multistart
-optimizer that searches the isometry family directly, a measurement-isometry
-variant, and a sweep of the trade-off curve over a grid of privacy levels.
+provides the closed-form bounds on that minimum, a multistart optimizer
+that searches the isometry family directly (each restart runs L-BFGS on the
+exact gradient, one run per quadratic-penalty stage of rising weight), a
+measurement-isometry variant, and a sweep of the trade-off curve over a grid
+of privacy levels.
 
 The unbounded privacy level is ``float("inf")`` (spelled ``inf`` on the
 command line); it is the distinguished IEEE infinity, detectable with
@@ -49,12 +51,12 @@ RESTART_STOP_SLACK = 5e-7
 PUSH_TARGET = 0.5 * FEASIBLE_TOL
 # Smallest decrease accepted as progress; below it a move is rounding noise.
 MIN_DECREASE = 1e-13
-# Descent step below which random directions can no longer find progress.
-MIN_STEP = 1e-8
-# A restart whose final descent step fell below this has converged.
-CONVERGED_STEP = 1e-7
-# Gradient norm below which the polish treats its point as stationary.
-POLISH_GRAD_TOL = 1e-9
+# Gradient norm below which L-BFGS treats its point as stationary.
+GRAD_TOL = 1e-9
+# (s, y) pairs L-BFGS keeps for its inverse-Hessian estimate.
+LBFGS_PAIRS = 8
+# Kept shares this close to the best tie; optimize_xi takes the first restart.
+TIE_TOL = 1e-9
 
 __all__ = [
     "ACCEPT_SLACK",
@@ -201,10 +203,13 @@ class OptimizerOptions:
 
     ``d_b``/``d_e`` override the output dimensions (default: both equal the
     acted factor's dimension).  ``iterations`` is the per-restart descent
-    budget.  ``povm_elements`` sets the number of measurement outcomes for
-    :func:`povm_upper` (default: the acted factor's dimension).  ``threads``
-    caps restart-level parallelism; unset, it reads PQDEC_THREADS and falls
-    back to 1.  Results are independent of the thread count.
+    budget: a restart with ``k`` penalty stages (1 at unbounded privacy with
+    equal outputs, else 5) gives each stage ``iterations // (8 k)`` L-BFGS
+    iterations, at least one.  ``povm_elements`` sets the number of
+    measurement outcomes for :func:`povm_upper` (default: the acted factor's
+    dimension).  ``threads`` caps restart-level parallelism; unset, it reads
+    PQDEC_THREADS and falls back to 1.  Results are independent of the
+    thread count.
     """
 
     d_b: int | None = None
@@ -398,63 +403,54 @@ def _objective(scorer: _Scorer, merit, rows: np.ndarray | None = None):
     return f, grad
 
 
-def _descend(f, theta, value, step, iters, rng):
-    """Mirrored random-direction descent with an adaptive step."""
-    n = theta.size
-    for _ in range(iters):
-        u = rng.standard_normal(n)
-        u *= step / float(np.linalg.norm(u))
-        cand = theta + u
-        v = f(cand)
-        if v < value - MIN_DECREASE:
-            theta, value = cand, v
-            step *= 1.4
-            continue
-        cand = theta - u
-        v = f(cand)
-        if v < value - MIN_DECREASE:
-            theta, value = cand, v
-            step *= 1.4
-        else:
-            step *= 0.75
-            if step < MIN_STEP:
-                break
-    return theta, value, step
+def _lbfgs(f, grad, theta, iters):
+    """Limited-memory BFGS on ``f`` from ``theta``, at most ``iters`` iterations.
 
-
-def _polish(f, grad, theta, value, rounds):
-    """Steepest descent on the exact gradient with a backtracking line search.
-
-    Each round takes one closed-form gradient ``grad(theta)``, then evaluates
-    ``f`` only along the normalized descent direction, halving the step up to
-    25 times.  Returns ``(theta, value, stationary)``; ``stationary`` is set
-    when the gradient norm falls below ``POLISH_GRAD_TOL`` or no trial step
-    lowers the value.
+    Directions come from the two-loop recursion over the last ``LBFGS_PAIRS``
+    (s, y) pairs (Nocedal & Wright, *Numerical Optimization*, 2006, alg. 7.4);
+    with no pairs, or no descent, the pairs are dropped and the step is
+    ``-g`` scaled to length 0.3.  The step is halved until the Armijo
+    condition (c = 1e-4) holds and ``f`` drops by more than ``MIN_DECREASE``.
+    Returns ``(theta, value, stationary)``; ``stationary`` is set when the
+    gradient norm falls below ``GRAD_TOL`` or no trial step lowers ``f``.
     """
-    alpha = 0.1
-    stationary = False
-    for _ in range(rounds):
-        g = grad(theta)
+    value, g = f(theta), grad(theta)
+    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
+    for _ in range(iters):
         gn = float(np.linalg.norm(g))
-        if gn < POLISH_GRAD_TOL:
-            stationary = True
-            break
-        d = g / gn
-        a = alpha
-        improved = False
-        for _ in range(25):
-            cand = theta - a * d
+        if gn < GRAD_TOL:
+            return theta, value, True
+        d = -g
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ d))
+            d = d - alphas[-1] * y
+        if pairs:
+            s, y, _ = pairs[-1]
+            d = d * ((s @ y) / (y @ y))
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            d = d + (alpha - rho * (y @ d)) * s
+        slope = float(g @ d)
+        if not pairs or slope >= 0.0:
+            pairs.clear()
+            d = -g * (0.3 / gn)
+            slope = -0.3 * gn
+        a = 1.0
+        for _ in range(30):
+            cand = theta + a * d
             v = f(cand)
-            if v < value - MIN_DECREASE:
-                theta, value = cand, v
-                alpha = a * 1.5
-                improved = True
+            if v <= value + 1e-4 * a * slope and v < value - MIN_DECREASE:
                 break
             a *= 0.5
-        if not improved:
-            stationary = True
-            break
-    return theta, value, stationary
+        else:
+            return theta, value, True
+        g_new = grad(cand)
+        s, y = cand - theta, g_new - g
+        sy = float(s @ y)
+        if sy > 0.0:
+            pairs = pairs[-(LBFGS_PAIRS - 1) :] + [(s, y, 1.0 / sy)]
+        theta, value, g = cand, v, g_new
+    return theta, value, False
 
 
 def _measurement_start(basis: np.ndarray, d_a: int, d_b: int, d_e: int) -> np.ndarray | None:
@@ -514,11 +510,18 @@ def _solve_restart(
     theta0: np.ndarray,
     eps: float,
     opts: OptimizerOptions,
-    rng: np.random.Generator,
     symmetric: bool,
     stop_value: float,
     rows: np.ndarray | None = None,
 ):
+    """One restart from ``theta0``: an L-BFGS run per penalty stage.
+
+    Five stages raise the penalty weight from 10 to 1e5 (one stage when
+    unconstrained), each with ``opts.iterations // (8 * stages)`` iterations;
+    up to three push stages of half that plus one follow while the leak
+    overshoots ``eps``.  ``converged``: the last stage ended stationary, or
+    the restart reached ``stop_value``, which also ends it early.
+    """
     # The raw (I(R:B), I(R:E)) through the objective's own candidate map.
     raw, _ = _objective(scorer, lambda m_b, m_e: ((m_b, m_e),), rows)
 
@@ -529,16 +532,11 @@ def _solve_restart(
 
     unconstrained = math.isinf(eps) and symmetric
     weights = [0.0] if unconstrained else [10.0 * 10.0 ** s for s in range(5)]
-    per_stage = max(1, opts.iterations // len(weights))
-    polish_rounds = min(50, max(8, opts.iterations // (3 * theta0.size)))
+    per_stage = max(1, opts.iterations // (8 * len(weights)))
 
     theta = theta0
-    step = 0.3
-    converged = False
-    for stage, weight in enumerate(weights):
-        f, _ = objective(weight)
-        value = f(theta)
-        theta, value, step = _descend(f, theta, value, max(step, 0.02), per_stage, rng)
+    for weight in weights:
+        theta, _, converged = _lbfgs(*objective(weight), theta, per_stage)
         m_b, m_e = raw(theta)
         lo = min(m_b, m_e) if symmetric else m_e
         # A restart that already sits at the lower bound and satisfies the
@@ -550,10 +548,6 @@ def _solve_restart(
             converged = True
             break
     else:
-        f, grad = objective(weights[-1])
-        theta, value, converged = _polish(f, grad, theta, value, polish_rounds)
-        # Push the discarded share under the privacy level if it still
-        # overshoots; each extra stage raises the penalty tenfold.
         if not unconstrained:
             weight = weights[-1]
             for _ in range(3):
@@ -562,12 +556,7 @@ def _solve_restart(
                 if math.isinf(eps) or lo <= eps + PUSH_TARGET:
                     break
                 weight *= 10.0
-                f, grad = objective(weight)
-                value = f(theta)
-                theta, value, step = _descend(f, theta, value, 0.02, per_stage // 2 + 1, rng)
-                theta, value, _ = _polish(f, grad, theta, value, max(4, polish_rounds // 3))
-    if step < CONVERGED_STEP:
-        converged = True
+                theta, _, converged = _lbfgs(*objective(weight), theta, per_stage // 2 + 1)
 
     m_b, m_e = raw(theta)
     if symmetric and m_e > m_b:
@@ -632,10 +621,7 @@ def _search(
         theta0 = starts[idx] if idx < len(starts) else None
         if theta0 is None:
             theta0 = np.random.default_rng(opts.seed + idx).standard_normal(n * n) * 0.7
-        # Descent directions draw from a substream distinct from the start
-        # values: both derive from the master seed by fixed offsets.
-        rng = np.random.default_rng(opts.seed + 100003 + idx)
-        return _solve_restart(scorer, theta0, eps, opts, rng, symmetric, stop_value, rows)
+        return _solve_restart(scorer, theta0, eps, opts, symmetric, stop_value, rows)
 
     return _run_restarts(max(1, opts.restarts), runner, stop_value, opts.thread_count())
 
@@ -648,11 +634,12 @@ def optimize_xi(
     Runs ``opts.restarts`` independent descents (structured starts first,
     then seeded random ones), each a staged quadratic-penalty minimization of
     the larger mutual information subject to the smaller one staying below
-    ``eps``, finished with a steepest-descent polish on the exact gradient
-    of the penalized objective.  Returns the best feasible candidate, with
-    ties broken by the lowest restart index; if no restart satisfies the
-    privacy constraint within ``1e-4``, the returned outcome reports the
-    least-leaking candidate with ``feasible=False``.
+    ``eps``, by L-BFGS on the exact gradient in every stage.  Returns the
+    best feasible candidate: the lowest restart index whose ``i_rb`` lies
+    within ``TIE_TOL`` of the least, so round-off among near-tied restarts
+    does not decide it.  If no restart satisfies the privacy constraint
+    within ``1e-4``, the returned outcome reports the least-leaking
+    candidate with ``feasible=False``.
 
     Identical inputs, options, and seed give an identical outcome regardless
     of the thread count.
@@ -673,10 +660,10 @@ def optimize_xi(
         _measurement_start(isometries.fourier_basis(d_a), d_a, d_b, d_e),
     ]
     results = _search(scorer, eps, opts, prop1_lower(state, eps), starts)
-    # min keeps the first of equal values: ties go to the lowest restart.
     pool = [r for r in results if r["feasible"]] or [r for r in results if r["near"]]
     if pool:
-        best = min(pool, key=lambda r: r["i_rb"])
+        least = min(r["i_rb"] for r in pool)
+        best = next(r for r in pool if r["i_rb"] <= least + TIE_TOL)
     else:
         best = min(results, key=lambda r: r["i_re"])
 

@@ -201,6 +201,13 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(0.5 * np.sum(np.abs(w)))
 
 
+def _check_tol(tol: float) -> float:
+    tol = float(tol)
+    if not (isfinite(tol) and tol >= 0.0):
+        raise ValidationError(f"validation tolerance must be finite and >= 0, got {tol}")
+    return tol
+
+
 def validate_density(m: np.ndarray, tol: float = DENSITY_TOL) -> np.ndarray:
     """Check that ``m`` is a density matrix and return a cleaned copy.
 
@@ -210,9 +217,11 @@ def validate_density(m: np.ndarray, tol: float = DENSITY_TOL) -> np.ndarray:
     ``-tol``.  Eigenvalues in ``[-tol, 0)`` are clamped to zero and the
     spectrum renormalized.  A matrix that is already clean at machine
     precision is returned unchanged, so that reading a serialized state back
-    preserves it bit for bit.
+    preserves it bit for bit.  ``tol`` itself must be finite and
+    non-negative: a NaN or infinite tolerance would pass any matrix.
     """
     clean_tol = 1e-12
+    tol = _check_tol(tol)
     a = _as_matrix(m)
     if not np.all(np.isfinite(a)):
         raise ValidationError("density matrix has non-finite entries")

@@ -54,7 +54,7 @@ from pqdec.states import (
 BELL = to_density(max_entangled(2))
 
 
-def report(num: int, ok: bool, detail: str) -> None:
+def report(num: int | str, ok: bool, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'} criterion {num}: {detail}")
     assert ok, f"criterion {num}: {detail}"
 
@@ -168,6 +168,31 @@ def test_criterion_06_bound_sandwich_on_random_states():
         ok,
         f"{violations} sandwich violations over 50 states "
         f"(worst slack {worst_slack:.2e}), {elapsed:.0f}s (cap 600s)",
+    )
+
+
+def test_criterion_06b_bound_sandwich_on_3x3_states():
+    start = time.perf_counter()
+    violations = 0
+    worst_slack = math.inf
+    for k in range(10):
+        rho = random_density(9, 9, 3300 + k, labels=("R", "A"), dims=(3, 3))
+        opts = OptimizerOptions(restarts=4, iterations=600, seed=3300 + k)
+        est = optimize_xi(rho, UNBOUNDED, opts).i_rb
+        lower = prop1_lower(rho)
+        upper = min(povm_upper(rho, opts), half_qmi_upper(rho)) + 1e-4
+        lo_slack = est - (lower - 1e-6)
+        hi_slack = upper - est
+        worst_slack = min(worst_slack, lo_slack, hi_slack)
+        if lo_slack < 0 or hi_slack < 0:
+            violations += 1
+    elapsed = time.perf_counter() - start
+    ok = violations == 0
+    report(
+        "6b",
+        ok,
+        f"{violations} sandwich violations over 10 3x3 states "
+        f"(worst slack {worst_slack:.2e}), {elapsed:.0f}s",
     )
 
 

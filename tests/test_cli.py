@@ -177,6 +177,23 @@ def test_bad_eps_is_a_usage_error(tmp_path, capsys, eps):
     assert "--eps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "abc"])
+def test_bad_tol_is_a_usage_error(tmp_path, capsys, tol):
+    # Trace one but not positive: a NaN or infinite tolerance used to pass
+    # it, and the loader then returned a different, pure state.
+    neg = tmp_path / "neg.json"
+    doc = {
+        "labels": ["R", "A"],
+        "dims": [2, 2],
+        "matrix": [[x, 0.0] for x in np.diag([1.5, -0.5, 0.0, 0.0]).flatten()],
+    }
+    neg.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as err:
+        main(["qmi", "--state", str(neg), "--x", "R", "--y", "A", "--tol", tol])
+    assert err.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 def test_make_state_kinds(tmp_path, capsys):
     iso_path = tmp_path / "iso.json"
     assert main(["make-state", "isotropic", "--d", "2", "--fidelity", "0.9", "--out", str(iso_path)]) == 0

@@ -186,6 +186,36 @@ class TestOptimize:
         assert runs[0][1] >= 2
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
+    def test_certificate_stable_under_input_perturbation(self):
+        # Restarts on these states tie within round-off; picking the exact
+        # least i_rb returned another restart's isometry after a 1e-12 or
+        # 1e-10 Hermitian perturbation of the input.
+        for seed, delta in ((637, 1e-12), (624, 1e-10)):
+            rho = random_density(4, 4, seed, labels=("R", "A"), dims=(2, 2))
+            g = np.random.default_rng(seed - 600).standard_normal((4, 4, 2)) @ [1, 1j]
+            h = g + g.conj().T
+            h -= np.trace(h) / 4 * np.eye(4)
+            h /= np.max(np.abs(h))
+            shifted = DensityMatrix(rho.matrix + delta * h, rho.sig)
+            opts = OptimizerOptions(restarts=6, iterations=800, seed=seed)
+            a = outcome_isometry(optimize_xi(rho, UNBOUNDED, opts)).matrix
+            b = outcome_isometry(optimize_xi(shifted, UNBOUNDED, opts)).matrix
+            assert np.max(np.abs(a - b)) <= 1e-6
+
+    def test_three_level_state_feasible_at_zero_leak(self):
+        rho = random_density(9, 9, 3, labels=("R", "A"), dims=(3, 3))
+        for seed in range(5):
+            out = optimize_xi(rho, 0.0, OptimizerOptions(restarts=4, iterations=600, seed=seed))
+            assert out.feasible and out.i_re <= 1e-6
+
+    def test_three_level_state_reaches_measurement_bound(self):
+        rho = random_density(9, 9, 3, labels=("R", "A"), dims=(3, 3))
+        for seed in range(5):
+            opts = OptimizerOptions(restarts=4, iterations=600, seed=seed)
+            out = optimize_xi(rho, UNBOUNDED, opts)
+            assert abs(out.i_rb - povm_upper(rho, opts)) <= 1e-6
+            assert out.converged
+
     def test_certificate_reproduces_scores(self):
         out = optimize_xi(BELL, UNBOUNDED, FAST)
         replay = apply_isometry(BELL, outcome_isometry(out))

@@ -254,3 +254,9 @@ class TestValidateDensity:
             m[0, 1] = bad
             with pytest.raises(ValidationError):
                 validate_density(m)
+
+    def test_rejects_bad_tolerance(self):
+        for m in (np.diag([0.25, 0.75]), np.diag([1.5, -0.5])):
+            for tol in (np.nan, np.inf, -np.inf, -1e-9):
+                with pytest.raises(ValidationError):
+                    validate_density(m.astype(complex), tol)
