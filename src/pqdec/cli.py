@@ -3,8 +3,7 @@
 Single computations print to stdout; longer artifacts (sweeps, studies,
 scenario reports) can also be written to files.  Numeric output carries 12
 significant digits, an unbounded privacy level is spelled ``inf``, and a
-fixed command line reproduces its output byte for byte regardless of the
-worker thread count.
+fixed command line reproduces its output byte for byte.
 
 Exit codes: 0 success, 1 failed verification, 2 usage errors, 3 numerical
 validation failures.
@@ -74,14 +73,23 @@ def _grid_value(text: str) -> list[float]:
     return values
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError("count must be positive")
-    return value
+def _int_at_least(least: int):
+    """An argparse type for integers ``>= least``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_seed_value = _int_at_least(0)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -99,7 +107,6 @@ def _opts(args: argparse.Namespace) -> dec.OptimizerOptions:
         restarts=args.restarts,
         iterations=args.iterations,
         seed=args.seed,
-        threads=args.threads,
     )
 
 
@@ -127,13 +134,7 @@ def _add_optimizer_flags(p: argparse.ArgumentParser, with_dims: bool = False) ->
         default=2000,
         help="descent budget per restart, 8 per L-BFGS iteration (default 2000)",
     )
-    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=None,
-        help="worker threads for restarts (default: PQDEC_THREADS or 1)",
-    )
+    p.add_argument("--seed", type=_seed_value, default=0, help="master seed (default 0)")
     if with_dims:
         p.add_argument("--dB", dest="d_b", type=_positive_int, default=None, help="kept output dimension")
         p.add_argument("--dE", dest="d_e", type=_positive_int, default=None, help="discarded output dimension")
@@ -226,7 +227,6 @@ def _cmd_random_study(args: argparse.Namespace) -> int:
             restarts=args.restarts,
             iterations=args.iterations,
             seed=sample_seed,
-            threads=args.threads,
         )
         report = dec.bounds_report(rho, dec.UNBOUNDED, opts)
         outcome = dec.optimize_xi(rho, dec.UNBOUNDED, opts)
@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("verify", help="run every built-in scenario; exit 0 iff all pass")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_value, default=0)
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.set_defaults(func=_cmd_verify)
 
@@ -347,12 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
     q = kinds.add_parser("random", help="full or fixed-rank random bipartite state")
     q.add_argument("--dims", nargs=2, type=_positive_int, default=[2, 2], metavar=("DR", "DA"))
     q.add_argument("--rank", type=_positive_int, default=None)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=_seed_value, default=0)
     q.add_argument("--out", required=True)
     q = kinds.add_parser("separable", help="random mixture of product states")
     q.add_argument("--dims", nargs=2, type=_positive_int, default=[2, 2], metavar=("DR", "DA"))
     q.add_argument("--terms", type=_positive_int, default=3)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=_seed_value, default=0)
     q.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_make_state)
 

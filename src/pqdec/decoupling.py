@@ -7,7 +7,8 @@ how small the kept share I(R:B) can be made while the discarded share I(R:E)
 stays below a privacy level eps and below I(R:B) itself.  This module
 provides the closed-form bounds on that minimum, a multistart optimizer
 that searches the isometry family directly (each restart runs L-BFGS on the
-exact gradient, one run per quadratic-penalty stage of rising weight), a
+exact gradient, one run per quadratic-penalty stage of rising weight, and
+all restarts advance in lockstep through one batched scorer), a
 measurement-isometry variant, and a sweep of the trade-off curve over a grid
 of privacy levels.
 
@@ -21,11 +22,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+import numbers
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
@@ -116,11 +115,16 @@ def apply_isometry(state: DensityMatrix, v: Isometry) -> DensityMatrix:
 
 
 def _conjugate(rho: np.ndarray, d_r: int, d_a: int, w: np.ndarray) -> np.ndarray:
-    """(1 (x) w) rho (1 (x) w)^dag without forming the Kronecker factor."""
-    rho4 = rho.reshape(d_r, d_a, d_r, d_a)
-    x = np.tensordot(rho4, w, axes=([1], [1]))        # (r, r', b, o)
-    y = np.tensordot(x, w.conj(), axes=([2], [1]))    # (r, r', o, p)
-    return y.transpose(0, 2, 1, 3)                    # (r, o, r', p)
+    """(1 (x) w) rho (1 (x) w)^dag without forming the Kronecker factor.
+
+    ``w`` is one ``n x d_a`` isometry matrix or a stack of them; the result
+    has shape ``(..., d_r, n, d_r, n)``.
+    """
+    stack = w.shape[:-2]
+    n = w.shape[-2]
+    x = w[..., None, :, :] @ rho.reshape(d_r, d_a, d_r * d_a)   # (r, o, (r', b))
+    y = x.reshape(stack + (d_r * n * d_r, d_a)) @ w.conj().swapaxes(-1, -2)
+    return y.reshape(stack + (d_r, n, d_r, n))                   # (r, o, r', p)
 
 
 def decoupling_scores(state: DensityMatrix) -> tuple[float, float, bool]:
@@ -207,9 +211,11 @@ class OptimizerOptions:
     equal outputs, else 5) gives each stage ``iterations // (8 k)`` L-BFGS
     iterations, at least one.  ``povm_elements`` sets the number of
     measurement outcomes for :func:`povm_upper` (default: the acted factor's
-    dimension).  ``threads`` caps restart-level parallelism; unset, it reads
-    PQDEC_THREADS and falls back to 1.  Results are independent of the
-    thread count.
+    dimension).  Counts must be positive integers and ``seed`` a
+    non-negative one; anything else raises :class:`ValidationError`.
+
+    ``threads`` is deprecated and ignored: the restarts of a search run in
+    lockstep in one thread, and results never depended on it.
     """
 
     d_b: int | None = None
@@ -221,14 +227,17 @@ class OptimizerOptions:
     povm_elements: int | None = None
     threads: int | None = None
 
-    def thread_count(self) -> int:
-        if self.threads is not None:
-            return max(1, int(self.threads))
-        env = os.environ.get("PQDEC_THREADS", "")
-        try:
-            return max(1, int(env)) if env else 1
-        except ValueError:
-            return 1
+    def __post_init__(self):
+        optional = {"d_b": 1, "d_e": 1, "povm_elements": 1}
+        required = {"restarts": 1, "iterations": 1, "seed": 0}
+        for name, least in (optional | required).items():
+            value = getattr(self, name)
+            if value is None and name in optional:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValidationError(
+                    f"{name} must be an integer >= {least}, got {value!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -259,43 +268,75 @@ def outcome_isometry(outcome: DecouplingOutcome) -> Isometry:
 
 
 class _Scorer:
-    """Fast raw mutual-information scores for candidate isometry matrices."""
+    """Raw mutual-information scores, and their gradients, for a stack of
+    parameter vectors.
 
-    def __init__(self, rho: np.ndarray, d_r: int, d_a: int, d_b: int, d_e: int):
-        self.rho4 = rho.reshape(d_r, d_a, d_r, d_a)
+    Row ``k`` of a ``(K, n*n)`` stack ``theta`` names the isometry made of
+    the first ``d_a`` columns of the ``n x n`` unitary ``exp(G(theta[k]))``,
+    with ``n = d_b*d_e``; with ``rows`` given, ``n = len(rows)`` and those
+    columns are embedded in the listed rows of a ``d_b*d_e x d_a`` matrix
+    (the measurement family of :func:`povm_upper`).  Every step works on the
+    whole stack at once, and each candidate's result is the same, bit for
+    bit, whatever else shares its stack.
+    """
+
+    def __init__(
+        self,
+        rho: np.ndarray,
+        d_r: int,
+        d_a: int,
+        d_b: int,
+        d_e: int,
+        rows: np.ndarray | None = None,
+    ):
+        self.rho = rho
         self.dims = (d_r, d_a, d_b, d_e)
-        rho_r = np.trace(self.rho4, axis1=1, axis2=3)
+        self.rows = rows
+        self.n = d_b * d_e if rows is None else len(rows)
+        rho_r = np.trace(rho.reshape(d_r, d_a, d_r, d_a), axis1=1, axis2=3)
         self.s_r = spectrum_entropy(np.linalg.eigvalsh(rho_r))
 
-    def _marginals(self, w: np.ndarray):
-        """The RB, RE, B and E marginals of (1 (x) w) rho (1 (x) w)^dag."""
-        d_r, d_a, d_b, d_e = self.dims
-        t = _conjugate(self.rho4, d_r, d_a, w).reshape(d_r, d_b, d_e, d_r, d_b, d_e)
-        t_rb = np.trace(t, axis1=2, axis2=5).reshape(d_r * d_b, d_r * d_b)
-        t_re = np.trace(t, axis1=1, axis2=4).reshape(d_r * d_e, d_r * d_e)
-        t_b = np.trace(
-            t_rb.reshape(d_r, d_b, d_r, d_b), axis1=0, axis2=2
-        )
-        t_e = np.trace(
-            t_re.reshape(d_r, d_e, d_r, d_e), axis1=0, axis2=2
-        )
-        return t_rb, t_re, t_b, t_e
+    def _isometries(self, theta: np.ndarray):
+        """The isometry matrices of the stack, and the eigendecompositions
+        behind them for :func:`_pull_back`."""
+        d_a, side = self.dims[1], self.dims[2] * self.dims[3]
+        u, w, v = _expm_params(theta, self.n, d_a)
+        if self.rows is None:
+            return u, w, v
+        iso = np.zeros((len(theta), side, d_a), dtype=complex)
+        iso[:, self.rows, :] = u
+        return iso, w, v
 
-    def scores(self, w: np.ndarray) -> tuple[float, float]:
-        """Return raw (I(R:B), I(R:E)) for the isometry matrix ``w``."""
-        t_rb, t_re, t_b, t_e = self._marginals(w)
+    def _marginals(self, iso: np.ndarray):
+        """The RB, RE, B and E marginals of (1 (x) w) rho (1 (x) w)^dag, stacked."""
+        d_r, d_a, d_b, d_e = self.dims
+        k = len(iso)
+        t = _conjugate(self.rho, d_r, d_a, iso).reshape(k, d_r, d_b, d_e, d_r, d_b, d_e)
+        t_rb = np.trace(t, axis1=3, axis2=6)
+        t_re = np.trace(t, axis1=2, axis2=5)
+        t_b = np.trace(t_rb, axis1=1, axis2=3)
+        t_e = np.trace(t_re, axis1=1, axis2=3)
+        return (
+            t_rb.reshape(k, d_r * d_b, d_r * d_b),
+            t_re.reshape(k, d_r * d_e, d_r * d_e),
+            t_b,
+            t_e,
+        )
+
+    def scores(self, theta: np.ndarray) -> np.ndarray:
+        """Raw (I(R:B), I(R:E)) of each candidate, as a ``(K, 2)`` array."""
+        t_rb, t_re, t_b, t_e = self._marginals(self._isometries(theta)[0])
         s_rb = spectrum_entropy(np.linalg.eigvalsh(t_rb))
         s_re = spectrum_entropy(np.linalg.eigvalsh(t_re))
         s_b = spectrum_entropy(np.linalg.eigvalsh(t_b))
         s_e = spectrum_entropy(np.linalg.eigvalsh(t_e))
-        return self.s_r + s_b - s_rb, self.s_r + s_e - s_re
+        return np.stack([self.s_r + s_b - s_rb, self.s_r + s_e - s_re], axis=-1)
 
-    def gradient(self, w: np.ndarray, merit) -> np.ndarray:
-        """Gradient in ``w`` of ``merit(I(R:B), I(R:E))[0]``.
+    def gradient(self, theta: np.ndarray, merits: Sequence[Callable]) -> np.ndarray:
+        """Gradient in ``theta[k]`` of ``merits[k](I(R:B), I(R:E))[0]``, stacked.
 
-        ``merit`` maps the raw scores to ``(value, d/dI(R:B), d/dI(R:E))``.
-        The result ``g`` has the shape of ``w`` and gives the first-order
-        change ``Re sum(g * dw)``.  Each entropy is differentiated as
+        Each merit maps its candidate's raw scores to ``(value, d/dI(R:B),
+        d/dI(R:E))``.  Each entropy is differentiated as
         :func:`spectrum_entropy` computes it, on the support of its marginal
         only: eigenvalues at or below ``EIGENVALUE_CLAMP`` contribute zero to
         the entropy and zero to its derivative.  At full rank this is the
@@ -303,53 +344,60 @@ class _Scorer:
         of the clamped entropy, which stays finite where the unclamped one
         diverges.
         """
-        d_r, _, d_b, d_e = self.dims
-        t_rb, t_re, t_b, t_e = self._marginals(w)
+        d_r, d_a, d_b, d_e = self.dims
+        k = len(theta)
+        iso, w, v = self._isometries(theta)
+        t_rb, t_re, t_b, t_e = self._marginals(iso)
         s_rb, k_rb = _entropy_derivative(t_rb)
         s_re, k_re = _entropy_derivative(t_re)
         s_b, k_b = _entropy_derivative(t_b)
         s_e, k_e = _entropy_derivative(t_e)
-        _, c_b, c_e = merit(self.s_r + s_b - s_rb, self.s_r + s_e - s_re)
+        m_b = (self.s_r + s_b - s_rb).tolist()
+        m_e = (self.s_r + s_e - s_re).tolist()
+        c = np.array([merit(b, e)[1:] for merit, b, e in zip(merits, m_b, m_e)])
+        c_b, c_e = c.T.reshape(2, k, 1, 1, 1, 1)
         # dI(R:B) = tr(dt_b k_b) - tr(dt_rb k_rb); lifted to R(x)B(x)E the
         # two terms act as 1_R (x) k_b (x) 1_E and k_rb (x) 1_E.
-        eye_r = np.eye(d_r)
-        a_rb = c_b * (np.kron(eye_r, k_b) - k_rb)
-        a_re = c_e * (np.kron(eye_r, k_e) - k_re)
-        k = np.einsum(
-            "rbsc,ef->rbescf", a_rb.reshape(d_r, d_b, d_r, d_b), np.eye(d_e)
-        ) + np.einsum(
-            "resf,bc->rbescf", a_re.reshape(d_r, d_e, d_r, d_e), np.eye(d_b)
+        eye_r = np.eye(d_r)[:, None, :, None]
+        a_rb = c_b * (eye_r * k_b[:, None, :, None, :] - k_rb.reshape(k, d_r, d_b, d_r, d_b))
+        a_re = c_e * (eye_r * k_e[:, None, :, None, :] - k_re.reshape(k, d_r, d_e, d_r, d_e))
+        lifted = (
+            a_rb[:, :, :, None, :, :, None] * np.eye(d_e)[:, None, None, :]
+            + a_re[:, :, None, :, :, None, :] * np.eye(d_b)[:, None, None, :, None]
         )
-        k = k.reshape(d_r, d_b * d_e, d_r, d_b * d_e)
-        # d tr(k t) = 2 Re tr(k (1 (x) dw) rho (1 (x) w)^dag) for Hermitian k.
-        z = np.tensordot(self.rho4, w.conj(), axes=([3], [1]))  # (s, a, r, o)
-        return 2.0 * np.tensordot(k, z, axes=([0, 1, 2], [2, 3, 0]))  # (p, a)
+        # d tr(A t) = 2 Re tr(A (1 (x) dw) rho (1 (x) w)^dag) for Hermitian A,
+        # so the gradient in w is 2 conj(tr_R(A (1 (x) w) rho)).
+        side = d_b * d_e
+        q = lifted.reshape(k, d_r * side * d_r, side) @ iso
+        q = q.reshape(k, d_r * side, d_r * d_a) @ self.rho
+        g_w = 2.0 * np.trace(q.reshape(k, d_r, side, d_r, d_a), axis1=1, axis2=3).conj()
+        return _pull_back(g_w if self.rows is None else g_w[:, self.rows, :], w, v)
 
 
-def _entropy_derivative(sigma: np.ndarray) -> tuple[float, np.ndarray]:
-    """Clamped entropy of ``sigma`` and the Hermitian ``k`` with dS = tr(dsigma k).
+def _entropy_derivative(sigma: np.ndarray):
+    """Clamped entropies of a stack ``sigma`` and the Hermitian ``k`` with dS = tr(dsigma k).
 
-    ``k = -(log2 sigma + 1/ln 2)`` restricted to the eigenvectors whose
-    eigenvalue exceeds ``EIGENVALUE_CLAMP``, and zero on the rest, so that
-    it differentiates exactly what :func:`spectrum_entropy` sums.
+    ``k = -(log2 sigma + 1/ln 2)`` on the eigenvectors whose eigenvalue
+    exceeds ``EIGENVALUE_CLAMP``, and zero on the rest, so that it
+    differentiates exactly what :func:`spectrum_entropy` sums.
     """
     lam, vec = np.linalg.eigh(sigma)
     support = lam > EIGENVALUE_CLAMP
-    vec = vec[:, support]
-    lam = lam[support]
-    coef = -(np.log2(lam) + 1.0 / math.log(2.0))
-    return spectrum_entropy(lam), (vec * coef) @ vec.conj().T
+    coef = np.where(support, -(np.log2(np.where(support, lam, 1.0)) + 1.0 / math.log(2.0)), 0.0)
+    return spectrum_entropy(lam), (vec * coef[..., None, :]) @ vec.conj().swapaxes(-1, -2)
 
 
-def _expm_params(theta: np.ndarray, n: int):
-    """Unitary ``exp(G(theta))`` with the eigendecomposition ``iG = v diag(w) v^dag``."""
-    g = isometries._generator_from_parameters(np.asarray(theta, dtype=float), n)
+def _expm_params(theta: np.ndarray, n: int, cols: int):
+    """First ``cols`` columns of each unitary ``exp(G(theta[k]))`` in a stack,
+    with the eigendecompositions ``iG = v diag(w) v^dag``."""
+    g = isometries._generator_from_parameters(theta, n)
     w, v = np.linalg.eigh(1j * g)
-    return (v * np.exp(-1j * w)) @ v.conj().T, w, v
+    u = (v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(-1, -2)[:, :, :cols]
+    return u, w, v
 
 
 def _pull_back(g_w: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Gradient in theta from the gradient ``g_w`` in the leading columns of U.
+    """Gradients in theta from gradients ``g_w`` in the leading columns of U, stacked.
 
     ``U = exp(G) = v diag(exp(-i w)) v^dag``; its differential follows from
     the Daleckii-Krein formula, ``dU = v (F o (v^dag dH v)) v^dag`` with
@@ -361,60 +409,35 @@ def _pull_back(g_w: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
     doubled for the strict upper triangle, where each parameter moves two
     entries of ``G``.
     """
-    k = g_w.shape[1]
-    dw = w[:, None] - w[None, :]
-    f = -1j * np.exp(-0.5j * (w[:, None] + w[None, :])) * np.sinc(dw / (2.0 * np.pi))
-    q = v.conj().T[:, :k] @ g_w.T @ v
-    q = v @ (q * f) @ v.conj().T
-    grad = isometries._parameters_from_generator(-0.5j * (q + q.conj().T))
-    grad[w.size :] *= 2.0
+    cols = g_w.shape[-1]
+    n = w.shape[-1]
+    dw = w[:, :, None] - w[:, None, :]
+    f = -1j * np.exp(-0.5j * (w[:, :, None] + w[:, None, :])) * np.sinc(dw / (2.0 * np.pi))
+    vh = v.conj().swapaxes(-1, -2)
+    q = vh[:, :, :cols] @ g_w.swapaxes(-1, -2) @ v
+    q = v @ (q * f) @ vh
+    grad = isometries._parameters_from_generator(-0.5j * (q + q.conj().swapaxes(-1, -2)))
+    grad[:, n:] *= 2.0
     return grad
 
 
-def _objective(scorer: _Scorer, merit, rows: np.ndarray | None = None):
-    """The search objective over theta and its exact gradient.
+def _lbfgs(merit, theta, iters):
+    """Limited-memory BFGS on ``merit`` from ``theta``, at most ``iters`` iterations.
 
-    The candidate isometry is the first ``d_a`` columns of the ``n x n``
-    unitary ``exp(G(theta))``, with ``n = d_b*d_e``; with ``rows`` given,
-    ``n = len(rows)`` and those columns are embedded in the listed rows of a
-    ``d_b*d_e x d_a`` matrix (the measurement family of :func:`povm_upper`).
-    The objective is ``merit(I(R:B), I(R:E))[0]`` at that isometry.
-    Returns ``(f, grad)``.
+    A generator of evaluation requests: it yields ``(theta, None)`` for the
+    raw scores (I(R:B), I(R:E)) at ``theta``, to which it applies ``merit``
+    itself, and ``(theta, merit)`` for the merit's gradient there; the
+    driver sends each answer back.  Directions come from the two-loop
+    recursion over the last ``LBFGS_PAIRS`` (s, y) pairs (Nocedal & Wright,
+    *Numerical Optimization*, 2006, alg. 7.4); with no pairs, or no descent,
+    the pairs are dropped and the step is ``-g`` scaled to length 0.3.  The
+    step is halved until the Armijo condition (c = 1e-4) holds and the merit
+    drops by more than ``MIN_DECREASE``.  Returns ``(theta, value,
+    stationary)``; ``stationary`` is set when the gradient norm falls below
+    ``GRAD_TOL`` or no trial step lowers the merit.
     """
-    d_a = scorer.dims[1]
-    side = scorer.dims[2] * scorer.dims[3]
-    n = side if rows is None else len(rows)
-
-    def isometry(u):
-        if rows is None:
-            return u[:, :d_a]
-        out = np.zeros((side, d_a), dtype=complex)
-        out[rows, :] = u[:, :d_a]
-        return out
-
-    def f(theta):
-        return merit(*scorer.scores(isometry(_expm_params(theta, n)[0])))[0]
-
-    def grad(theta):
-        u, w, v = _expm_params(theta, n)
-        g_w = scorer.gradient(isometry(u), merit)
-        return _pull_back(g_w if rows is None else g_w[rows, :], w, v)
-
-    return f, grad
-
-
-def _lbfgs(f, grad, theta, iters):
-    """Limited-memory BFGS on ``f`` from ``theta``, at most ``iters`` iterations.
-
-    Directions come from the two-loop recursion over the last ``LBFGS_PAIRS``
-    (s, y) pairs (Nocedal & Wright, *Numerical Optimization*, 2006, alg. 7.4);
-    with no pairs, or no descent, the pairs are dropped and the step is
-    ``-g`` scaled to length 0.3.  The step is halved until the Armijo
-    condition (c = 1e-4) holds and ``f`` drops by more than ``MIN_DECREASE``.
-    Returns ``(theta, value, stationary)``; ``stationary`` is set when the
-    gradient norm falls below ``GRAD_TOL`` or no trial step lowers ``f``.
-    """
-    value, g = f(theta), grad(theta)
+    value = merit(*(yield theta, None))[0]
+    g = yield theta, merit
     pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
     for _ in range(iters):
         gn = float(np.linalg.norm(g))
@@ -438,13 +461,13 @@ def _lbfgs(f, grad, theta, iters):
         a = 1.0
         for _ in range(30):
             cand = theta + a * d
-            v = f(cand)
+            v = merit(*(yield cand, None))[0]
             if v <= value + 1e-4 * a * slope and v < value - MIN_DECREASE:
                 break
             a *= 0.5
         else:
             return theta, value, True
-        g_new = grad(cand)
+        g_new = yield cand, merit
         s, y = cand - theta, g_new - g
         sy = float(s @ y)
         if sy > 0.0:
@@ -506,13 +529,11 @@ def _penalized(m_b: float, m_e: float, eps: float, weight: float, symmetric: boo
 
 
 def _solve_restart(
-    scorer: _Scorer,
     theta0: np.ndarray,
     eps: float,
     opts: OptimizerOptions,
     symmetric: bool,
     stop_value: float,
-    rows: np.ndarray | None = None,
 ):
     """One restart from ``theta0``: an L-BFGS run per penalty stage.
 
@@ -520,15 +541,13 @@ def _solve_restart(
     unconstrained), each with ``opts.iterations // (8 * stages)`` iterations;
     up to three push stages of half that plus one follow while the leak
     overshoots ``eps``.  ``converged``: the last stage ended stationary, or
-    the restart reached ``stop_value``, which also ends it early.
+    the restart reached ``stop_value``, which also ends it early.  A
+    generator of the requests of :func:`_lbfgs`; returns the restart's
+    result.
     """
-    # The raw (I(R:B), I(R:E)) through the objective's own candidate map.
-    raw, _ = _objective(scorer, lambda m_b, m_e: ((m_b, m_e),), rows)
 
-    def objective(weight):
-        def merit(m_b, m_e):
-            return _penalized(m_b, m_e, eps, weight, symmetric)
-        return _objective(scorer, merit, rows)
+    def merit(weight):
+        return lambda m_b, m_e: _penalized(m_b, m_e, eps, weight, symmetric)
 
     unconstrained = math.isinf(eps) and symmetric
     weights = [0.0] if unconstrained else [10.0 * 10.0 ** s for s in range(5)]
@@ -536,8 +555,8 @@ def _solve_restart(
 
     theta = theta0
     for weight in weights:
-        theta, _, converged = _lbfgs(*objective(weight), theta, per_stage)
-        m_b, m_e = raw(theta)
+        theta, _, converged = yield from _lbfgs(merit(weight), theta, per_stage)
+        m_b, m_e = yield theta, None
         lo = min(m_b, m_e) if symmetric else m_e
         # A restart that already sits at the lower bound and satisfies the
         # constraint cannot improve further; skip the remaining stages.
@@ -551,14 +570,16 @@ def _solve_restart(
         if not unconstrained:
             weight = weights[-1]
             for _ in range(3):
-                m_b, m_e = raw(theta)
+                m_b, m_e = yield theta, None
                 lo = min(m_b, m_e) if symmetric else m_e
                 if math.isinf(eps) or lo <= eps + PUSH_TARGET:
                     break
                 weight *= 10.0
-                theta, _, converged = _lbfgs(*objective(weight), theta, per_stage // 2 + 1)
+                theta, _, converged = yield from _lbfgs(
+                    merit(weight), theta, per_stage // 2 + 1
+                )
 
-    m_b, m_e = raw(theta)
+    m_b, m_e = yield theta, None
     if symmetric and m_e > m_b:
         m_b, m_e = m_e, m_b
     feasible = m_e <= min(eps, m_b) + FEASIBLE_TOL
@@ -573,31 +594,65 @@ def _solve_restart(
     }
 
 
-def _run_restarts(count: int, runner: Callable[[int], dict], stop_value: float, threads: int):
-    """Run restarts and keep those up to the first one that hits ``stop_value``.
+def _run_restarts(
+    scorer: _Scorer,
+    count: int,
+    restart: Callable[[int], Generator],
+    stop_value: float,
+    width: int | None = None,
+):
+    """Run restarts in lockstep and keep those up to the first that hits ``stop_value``.
 
-    Restarts run in index order in chunks of ``threads``, on a thread pool
-    when a chunk is wider than one; after each chunk the stop rule looks at
-    its results in index order.  The considered set depends only on the
-    restart results, never on execution order or chunk width, so serial and
-    threaded runs select the same winner.  Returns the considered results,
-    in restart order.
+    ``restart(idx)`` makes restart ``idx`` as a generator of the requests of
+    :func:`_lbfgs`.  Up to ``width`` restarts (default: all) are live at
+    once, started in index order; each round answers every live restart's
+    pending request, with one :meth:`_Scorer.scores` call for all score
+    requests and one :meth:`_Scorer.gradient` call for all gradient
+    requests.  A finished restart that is feasible and within
+    ``RESTART_STOP_SLACK`` of ``stop_value`` drops every restart above it,
+    running or not yet started, so the considered set is the one a serial
+    run would stop at.  Each candidate scores the same in any stack, so the
+    results do not depend on ``width`` either.  Returns the considered
+    results, in restart order.
     """
 
     def meets(res):
         return res["feasible"] and res["i_rb"] <= stop_value + RESTART_STOP_SLACK
 
-    width = min(threads, count)
-    results: list[dict] = []
-    with ThreadPoolExecutor(width) if width > 1 else nullcontext() as pool:
-        mapper = pool.map if pool is not None else map
-        for start in range(0, count, width):
-            results += mapper(runner, range(start, min(start + width, count)))
-            hit = next((i for i in range(start, len(results)) if meets(results[i])), None)
-            if hit is not None:
-                del results[hit + 1 :]
-                break
-    return results
+    width = count if width is None else width
+    results: dict[int, dict] = {}
+    gens: dict[int, Generator] = {}
+    asks: dict[int, tuple] = {}  # each live restart's pending (theta, merit or None)
+    started, cutoff = 0, count
+    while True:
+        while started < cutoff and len(gens) < width:
+            gens[started] = restart(started)
+            asks[started] = next(gens[started])
+            started += 1
+        if not gens:
+            break
+        replies = {}
+        scored = [i for i, (_, merit) in asks.items() if merit is None]
+        if scored:
+            values = scorer.scores(np.stack([asks[i][0] for i in scored]))
+            replies.update(zip(scored, map(tuple, values.tolist())))
+        graded = [i for i, (_, merit) in asks.items() if merit is not None]
+        if graded:
+            grads = scorer.gradient(
+                np.stack([asks[i][0] for i in graded]), [asks[i][1] for i in graded]
+            )
+            replies.update(zip(graded, grads))
+        for i, reply in replies.items():
+            try:
+                asks[i] = gens[i].send(reply)
+            except StopIteration as done:
+                del gens[i], asks[i]
+                results[i] = done.value
+                if meets(done.value):
+                    cutoff = min(cutoff, i + 1)
+        for i in [i for i in gens if i >= cutoff]:
+            del gens[i], asks[i]
+    return [results[i] for i in range(cutoff)]
 
 
 def _search(
@@ -606,24 +661,23 @@ def _search(
     opts: OptimizerOptions,
     stop_value: float,
     starts: Sequence[np.ndarray | None],
-    rows: np.ndarray | None = None,
 ):
-    """Run the restarts of one search over the candidates of ``_objective``.
+    """Run the restarts of one search over the candidates of ``scorer``.
 
     Restart ``idx`` starts from ``starts[idx]``; past the list, or where an
     entry is None, it starts from a seeded random point.  Returns what
     :func:`_run_restarts` returns.
     """
-    n = scorer.dims[2] * scorer.dims[3] if rows is None else len(rows)
+    n = scorer.n
     symmetric = scorer.dims[2] == scorer.dims[3]
 
-    def runner(idx: int):
+    def restart(idx: int):
         theta0 = starts[idx] if idx < len(starts) else None
         if theta0 is None:
             theta0 = np.random.default_rng(opts.seed + idx).standard_normal(n * n) * 0.7
-        return _solve_restart(scorer, theta0, eps, opts, symmetric, stop_value, rows)
+        return _solve_restart(theta0, eps, opts, symmetric, stop_value)
 
-    return _run_restarts(max(1, opts.restarts), runner, stop_value, opts.thread_count())
+    return _run_restarts(scorer, opts.restarts, restart, stop_value)
 
 
 def optimize_xi(
@@ -641,8 +695,10 @@ def optimize_xi(
     within ``1e-4``, the returned outcome reports the least-leaking
     candidate with ``feasible=False``.
 
-    Identical inputs, options, and seed give an identical outcome regardless
-    of the thread count.
+    The restarts advance in lockstep, every round scoring all of them in
+    one batched call (see :func:`_run_restarts`).  Identical inputs,
+    options, and seed give an identical outcome, however many restarts
+    share a batch.
     """
     eps = _check_eps(eps)
     opts = opts if opts is not None else OptimizerOptions()
@@ -701,10 +757,9 @@ def povm_upper(state: DensityMatrix, opts: OptimizerOptions | None = None) -> fl
         raise ValidationError(
             f"need at least {d_a} measurement outcomes, got {m}"
         )
-    scorer = _Scorer(state.matrix, d_r, d_a, m, m)
-    rows = np.arange(m) * m + np.arange(m)
+    scorer = _Scorer(state.matrix, d_r, d_a, m, m, rows=np.arange(m) * m + np.arange(m))
     starts = [np.zeros(m * m), isometries.parameters_from_unitary(isometries.fourier_basis(m))]
-    results = _search(scorer, UNBOUNDED, opts, xi_infinity(state), starts, rows)
+    results = _search(scorer, UNBOUNDED, opts, xi_infinity(state), starts)
     return float(min(res["i_rb"] for res in results))
 
 

@@ -37,14 +37,19 @@ class EntropyReport:
     factors: dict[str, float]
 
 
-def spectrum_entropy(eigenvalues: np.ndarray) -> float:
-    """Shannon entropy, in bits, of a spectrum; weights <= 1e-12 are dropped."""
+def spectrum_entropy(eigenvalues: np.ndarray) -> float | np.ndarray:
+    """Shannon entropy, in bits, of a spectrum; weights <= 1e-12 are dropped.
+
+    A stack of spectra gives one entropy per spectrum along the last axis,
+    as an array; a single spectrum gives a float.
+    """
     w = np.asarray(eigenvalues, dtype=float)
-    w = w[w > EIGENVALUE_CLAMP]
-    if w.size == 0:
-        return 0.0
+    # A dropped weight becomes 1, whose term w log2 w is exactly 0; log2 never
+    # sees a zero or negative weight.
+    w = np.where(w > EIGENVALUE_CLAMP, w, 1.0)
     # The +0.0 turns the -0.0 of a pure spectrum into a plain 0.0.
-    return float(-np.dot(w, np.log2(w))) + 0.0
+    h = -np.sum(w * np.log2(w), axis=-1) + 0.0
+    return float(h) if h.ndim == 0 else h
 
 
 def entropy(state: DensityMatrix) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -262,27 +263,41 @@ def from_parameters(
     return Isometry(u[:, :d_a], _out_sig(d_b, d_e, labels), d_a)
 
 
-def _generator_from_parameters(t: np.ndarray, n: int) -> np.ndarray:
-    g = np.zeros((n, n), dtype=complex)
-    g[np.diag_indices(n)] = 1j * t[:n]
+@lru_cache(maxsize=None)
+def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only row and column indices of the strict upper triangle of an
+    ``n x n`` matrix, in row-major order; cached, since every search step
+    packs or unpacks parameters."""
     rows, cols = np.triu_indices(n, k=1)
-    x = t[n : n + rows.size]
-    y = t[n + rows.size :]
-    g[rows, cols] = x + 1j * y
-    g[cols, rows] = -x + 1j * y
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+def _generator_from_parameters(t: np.ndarray, n: int) -> np.ndarray:
+    """Skew-Hermitian ``n x n`` generator of a parameter vector, or one per
+    vector along the last axis of a stack."""
+    g = np.zeros(t.shape[:-1] + (n, n), dtype=complex)
+    diag = np.arange(n)
+    g[..., diag, diag] = 1j * t[..., :n]
+    rows, cols = _upper(n)
+    x = t[..., n : n + rows.size]
+    y = t[..., n + rows.size :]
+    g[..., rows, cols] = x + 1j * y
+    g[..., cols, rows] = -x + 1j * y
     return g
 
 
 def _parameters_from_generator(g: np.ndarray) -> np.ndarray:
-    """Parameter vector of a skew-Hermitian generator.
+    """Parameter vector of a skew-Hermitian generator, or of each in a stack.
 
     Inverse of :func:`_generator_from_parameters`: the imaginary diagonal,
     then the real and the imaginary parts of the strict upper triangle in
     row-major order.
     """
-    rows, cols = np.triu_indices(g.shape[0], k=1)
-    upper = g[rows, cols]
-    return np.concatenate([np.diagonal(g).imag, upper.real, upper.imag])
+    rows, cols = _upper(g.shape[-1])
+    upper = g[..., rows, cols]
+    diag = np.diagonal(g, axis1=-2, axis2=-1)
+    return np.concatenate([diag.imag, upper.real, upper.imag], axis=-1)
 
 
 def parameters_from_unitary(u: np.ndarray) -> np.ndarray:

@@ -132,18 +132,26 @@ def test_random_study_csv(tmp_path, capsys):
         assert cells[-2] == "true" and cells[-1] == "true"
 
 
-def test_byte_identical_outputs_across_thread_counts(tmp_path):
+def test_byte_identical_outputs_across_thread_counts(tmp_path, batch_width):
+    # The restarts run in lockstep; the batch width replaces the thread count.
     bell = make_bell(tmp_path)
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["optimize", "--state", bell, "--seed", "3", "--out", str(a)] + FAST) == 0
-    assert (
-        main(
-            ["optimize", "--state", bell, "--seed", "3", "--out", str(b), "--threads", "4"]
-            + FAST
-        )
-        == 0
-    )
-    assert a.read_bytes() == b.read_bytes()
+    outputs = []
+    for width in (None, 1, 3):
+        batch_width(width)
+        out = tmp_path / f"w{width}.json"
+        assert main(["optimize", "--state", bell, "--seed", "3", "--out", str(out)] + FAST) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    # It used to pass argparse and fail only once the search reached a
+    # random restart, with numpy's message; on Bell it exited 0.
+    bell = make_bell(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(["optimize", "--state", bell, "--seed", "-5", "--restarts", "4"])
+    assert err.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_exit_codes(tmp_path, capsys):

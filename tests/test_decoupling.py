@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -137,6 +138,34 @@ class TestClosedFormBounds:
             assert xi_infinity(random_separable(2, 2, 3, seed)) == 0.0
 
 
+class TestOptimizerOptions:
+    # Each of these used to run (1 restart, 1 L-BFGS iteration per stage) or
+    # fail late with a TypeError or a numpy ValueError.
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"restarts": 0},
+            {"restarts": -3},
+            {"restarts": True},
+            {"iterations": 0},
+            {"iterations": math.nan},
+            {"iterations": 600.5},
+            {"d_b": 2.5},
+            {"d_b": -2, "d_e": -2},
+            {"povm_elements": math.nan},
+            {"seed": -5},
+        ],
+    )
+    def test_rejects_bad_values(self, fields):
+        with pytest.raises(ValidationError):
+            OptimizerOptions(**fields)
+
+    def test_threads_accepted_and_ignored(self):
+        plain = optimize_xi(BELL, UNBOUNDED, FAST)
+        threaded = optimize_xi(BELL, UNBOUNDED, replace(FAST, threads=2))
+        assert np.array_equal(plain.theta, threaded.theta)
+
+
 class TestOptimize:
     def test_bell_lands_on_one_bit(self):
         out = optimize_xi(BELL, UNBOUNDED, FAST)
@@ -163,28 +192,42 @@ class TestOptimize:
             if out.feasible:
                 assert out.i_re <= min(0.3, out.i_rb) + 1e-6
 
-    def test_deterministic_across_runs_and_threads(self):
-        a = optimize_xi(BELL, UNBOUNDED, OptimizerOptions(restarts=4, iterations=300, seed=5))
-        b = optimize_xi(BELL, UNBOUNDED, OptimizerOptions(restarts=4, iterations=300, seed=5))
-        c = optimize_xi(
-            BELL, UNBOUNDED, OptimizerOptions(restarts=4, iterations=300, seed=5, threads=3)
-        )
+    def test_deterministic_across_runs_and_threads(self, batch_width):
+        # The restarts run in lockstep; the batch width replaces the thread count.
+        opts = OptimizerOptions(restarts=4, iterations=300, seed=5)
+        a = optimize_xi(BELL, UNBOUNDED, opts)
+        b = optimize_xi(BELL, UNBOUNDED, opts)
+        batch_width(3)
+        c = optimize_xi(BELL, UNBOUNDED, opts)
         assert np.array_equal(a.theta, b.theta)
         assert a.i_rb == b.i_rb and a.i_re == b.i_re
         assert np.array_equal(a.theta, c.theta)
         assert a.restarts_used == c.restarts_used
 
-    def test_search_identical_for_any_thread_count(self):
-        # A state whose search runs past restart 0, so that chunks of 2 and
-        # 3 restarts meet the stop rule at different points.
+    def test_search_identical_for_any_thread_count(self, batch_width):
+        # A state whose search runs past restart 0, so that batches of 1, 2
+        # and 3 restarts are mid-run at different points when the stop rule
+        # is met.
         rho = random_density(4, 4, 31, labels=("R", "A"), dims=(2, 2))
+        opts = OptimizerOptions(restarts=4, iterations=300, seed=7)
         runs = []
-        for threads in (1, 2, 3):
-            opts = OptimizerOptions(restarts=4, iterations=300, seed=7, threads=threads)
+        for width in (1, 2, 3, None):
+            batch_width(width)
             out = optimize_xi(rho, UNBOUNDED, opts)
             runs.append((out.theta.tobytes(), out.restarts_used, out.i_rb, povm_upper(rho, opts)))
         assert runs[0][1] >= 2
-        assert runs[1] == runs[0] and runs[2] == runs[0]
+        assert all(run == runs[0] for run in runs[1:])
+
+    @pytest.mark.parametrize("width", [1, 2, 3, None])
+    def test_stop_rule_drops_later_restarts_at_any_width(self, batch_width, width):
+        # Warm-started at the optimum, restart 0 meets the stop rule; the
+        # restarts running beside it in the same batch are dropped.
+        first = optimize_xi(BELL, UNBOUNDED, FAST)
+        batch_width(width)
+        warm = OptimizerOptions(restarts=4, iterations=300, seed=0, warm_theta=first.theta)
+        out = optimize_xi(BELL, UNBOUNDED, warm)
+        assert out.restarts_used == 1
+        assert np.array_equal(out.theta, optimize_xi(BELL, UNBOUNDED, replace(warm, restarts=1)).theta)
 
     def test_certificate_stable_under_input_perturbation(self):
         # Restarts on these states tie within round-off; picking the exact
@@ -281,6 +324,18 @@ def central_difference(f, theta, h=1e-5):
     return grad
 
 
+def objective(scorer, merit):
+    """The search objective and its exact gradient at one theta, through stacks of one."""
+
+    def f(theta):
+        return merit(*scorer.scores(theta[None])[0])[0]
+
+    def grad(theta):
+        return scorer.gradient(theta[None], [merit])[0]
+
+    return f, grad
+
+
 def penalized_problem(rho, d_b, d_e, eps, weight):
     d_r, d_a = rho.sig.dims
     scorer = dec._Scorer(rho.matrix, d_r, d_a, d_b, d_e)
@@ -288,8 +343,52 @@ def penalized_problem(rho, d_b, d_e, eps, weight):
     def merit(m_b, m_e):
         return dec._penalized(m_b, m_e, eps, weight, d_b == d_e)
 
-    f, grad = dec._objective(scorer, merit)
-    return scorer, f, grad
+    return (scorer, *objective(scorer, merit))
+
+
+def measurement_scorer(rho, m):
+    d_r, d_a = rho.sig.dims
+    return dec._Scorer(rho.matrix, d_r, d_a, m, m, rows=np.arange(m) * m + np.arange(m))
+
+
+class TestBatchedScorer:
+    """A stack of candidates scores each one exactly as a stack of one does."""
+
+    @pytest.mark.parametrize(
+        "d, d_b, d_e, m",
+        [(2, 2, 2, None), (3, 3, 3, None), (2, 2, 3, None), (2, 2, 2, 2), (2, 3, 3, 3)],
+    )
+    def test_stack_matches_each_candidate_alone(self, d, d_b, d_e, m):
+        rho = random_density(d * d, d * d, 60 + d_b + d_e, labels=("R", "A"), dims=(d, d))
+        if m is None:
+            scorer = dec._Scorer(rho.matrix, d, d, d_b, d_e)
+        else:
+            scorer = measurement_scorer(rho, m)
+        thetas = np.random.default_rng(d_b * d_e).standard_normal((6, scorer.n**2)) * 0.7
+        thetas[0] = 0.0
+        merits = [
+            lambda m_b, m_e, w=w: dec._penalized(m_b, m_e, 0.01, w, d_b == d_e)
+            for w in (0.0, 10.0, 1e2, 1e3, 1e4, 1e5)
+        ]
+        alone = [
+            (scorer.scores(t[None]).tobytes(), scorer.gradient(t[None], [merit]).tobytes())
+            for t, merit in zip(thetas, merits)
+        ]
+        for k in range(1, 7):
+            scores = scorer.scores(thetas[:k])
+            grads = scorer.gradient(thetas[:k], merits[:k])
+            assert scores.shape == (k, 2) and grads.shape == (k, scorer.n**2)
+            stacked = [(scores[i : i + 1].tobytes(), grads[i : i + 1].tobytes()) for i in range(k)]
+            assert stacked == alone[:k]
+
+    def test_scores_match_the_public_scoring_path(self):
+        rho = random_density(9, 9, 3, labels=("R", "A"), dims=(3, 3))
+        scorer = dec._Scorer(rho.matrix, 3, 3, 3, 3)
+        thetas = np.random.default_rng(0).standard_normal((3, 81)) * 0.7
+        for theta, (m_b, m_e) in zip(thetas, scorer.scores(thetas)):
+            out = apply_isometry(rho, from_parameters(theta, 3, 3, 3))
+            assert abs(m_b - mutual_information(out, "R", "B")) <= 1e-12
+            assert abs(m_e - mutual_information(out, "R", "E")) <= 1e-12
 
 
 class TestExactGradient:
@@ -314,7 +413,7 @@ class TestExactGradient:
         eps = 0.01
         scorer, f, grad = penalized_problem(rho, d, d, eps, 1000.0)
         theta = np.random.default_rng(10 + d).standard_normal(d**4) * 0.7
-        m_b, m_e = scorer.scores(from_parameters(theta, d, d, d).matrix)
+        m_b, m_e = scorer.scores(theta[None])[0]
         assert min(m_b, m_e) > eps
         self.assert_matches(f, grad, theta)
 
@@ -335,21 +434,28 @@ class TestExactGradient:
             (2, rng.standard_normal(4) * 0.7),
             (3, rng.standard_normal(9) * 0.7),
         ):
-            scorer = dec._Scorer(rho.matrix, 2, 2, m, m)
-            rows = np.arange(m) * m + np.arange(m)
-            f, grad = dec._objective(scorer, lambda a, b: (0.5 * (a + b), 0.5, 0.5), rows)
+            scorer = measurement_scorer(rho, m)
+            f, grad = objective(scorer, lambda a, b: (0.5 * (a + b), 0.5, 0.5))
             self.assert_matches(f, grad, theta)
 
     def test_rank_deficient_marginal(self):
         # At theta = 0 the input goes wholly into E and the B marginal is
-        # pure: its entropy is differentiated on its support only.
+        # pure: its entropy is differentiated on its support only.  I(R:E)
+        # is at its maximum there, so the gradient vanishes up to rounding,
+        # and a step along it moves the objective by rounding only.
         rho = random_density(4, 4, 93, labels=("R", "A"), dims=(2, 2))
         _, f, grad = penalized_problem(rho, 2, 2, UNBOUNDED, 0.0)
-        theta = np.zeros(16)
+        g = grad(np.zeros(16))
+        assert np.all(np.isfinite(g)) and np.linalg.norm(g) <= 1e-12
+        # A pure input keeps the RB and RE marginals at rank 2 of 4 at every
+        # theta, where the gradient is far from zero: it matches central
+        # differences and a step against it descends.
+        pure = to_density(random_pure((2, 2), 93, labels=("R", "A")))
+        _, f, grad = penalized_problem(pure, 2, 2, UNBOUNDED, 0.0)
+        theta = np.random.default_rng(93).standard_normal(16) * 0.7
+        self.assert_matches(f, grad, theta)
         g = grad(theta)
-        assert np.all(np.isfinite(g)) and np.linalg.norm(g) > 0.0
-        step = 1e-4 * g / np.linalg.norm(g)
-        assert f(theta - step) <= f(theta)
+        assert f(theta - 1e-4 * g / np.linalg.norm(g)) < f(theta) - 1e-6 * np.linalg.norm(g)
 
 
 class TestBoundsReport:
