@@ -52,6 +52,10 @@ def _checked(check, what: str):
 _eps_value = _checked(dec._check_eps, "privacy level")
 
 
+# Each grid point is a full search, so a longer grid is a typo, not a request.
+MAX_GRID_POINTS = 10_000
+
+
 def _grid_value(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -60,17 +64,15 @@ def _grid_value(text: str) -> list[float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"non-numeric grid bound in {text!r}") from None
-    if not (step > 0.0 and hi >= lo and math.isfinite(lo) and math.isfinite(hi)):
+    if not (step > 0.0 and hi >= lo and all(map(math.isfinite, (lo, hi, step)))):
         raise argparse.ArgumentTypeError("grid must be ascending with a positive step")
-    values = []
-    k = 0
-    while True:
-        v = lo + k * step
-        if v > hi + 1e-9 * max(1.0, abs(hi)):
-            break
-        values.append(v)
-        k += 1
-    return values
+    edge = hi + 1e-9 * max(1.0, abs(hi))
+    span = (edge - lo) / step
+    # A step too small to change lo fails here too: the tolerance on hi alone
+    # then spans millions of steps.
+    if span >= MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+    return [v for v in (lo + k * step for k in range(int(span) + 2)) if v <= edge]
 
 
 def _int_at_least(least: int):
@@ -213,45 +215,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_random_study(args: argparse.Namespace) -> int:
-    d_r, d_a = args.dims
     lines = [
         "sample,seed,qmi,ic_a_to_r,prop1_lower,half_qmi_upper,povm_upper,"
         "xi_infinity,xi_estimate,feasible,lower_ok,upper_ok"
     ]
-    for k in range(args.samples):
-        sample_seed = args.seed + k
-        rho = st.random_density(
-            d_r * d_a, d_r * d_a, sample_seed, labels=("R", "A"), dims=(d_r, d_a)
-        )
-        opts = dec.OptimizerOptions(
-            restarts=args.restarts,
-            iterations=args.iterations,
-            seed=sample_seed,
-        )
-        report = dec.bounds_report(rho, dec.UNBOUNDED, opts)
-        outcome = dec.optimize_xi(rho, dec.UNBOUNDED, opts)
-        lower_ok = outcome.i_rb >= report.prop1_lower - 1e-6
-        upper_ok = outcome.i_rb <= min(
-            report.povm_upper + 2e-2, report.half_qmi_upper + 1e-6
-        )
-        lines.append(
-            ",".join(
-                [
-                    str(k),
-                    str(sample_seed),
-                    _fmt(report.qmi),
-                    _fmt(report.ic_a_to_r),
-                    _fmt(report.prop1_lower),
-                    _fmt(report.half_qmi_upper),
-                    _fmt(report.povm_upper),
-                    _fmt(report.xi_infinity),
-                    _fmt(outcome.i_rb),
-                    str(bool(outcome.feasible)).lower(),
-                    str(bool(lower_ok)).lower(),
-                    str(bool(upper_ok)).lower(),
-                ]
-            )
-        )
+    rows = scn.bound_sandwich(args.dims, args.samples, args.seed, args.restarts, args.iterations)
+    for k, row in enumerate(rows):
+        b = row.bounds
+        values = [b.qmi, b.ic_a_to_r, b.prop1_lower, b.half_qmi_upper, b.povm_upper, b.xi_infinity]
+        flags = [row.outcome.feasible, row.lower_ok, row.upper_ok]
+        fields = [str(k), str(row.seed), *map(_fmt, values + [row.outcome.i_rb])]
+        lines.append(",".join(fields + [str(bool(f)).lower() for f in flags]))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

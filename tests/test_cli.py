@@ -1,3 +1,6 @@
+import argparse
+import csv
+import io
 import json
 import os
 import subprocess
@@ -7,9 +10,10 @@ import numpy as np
 import pytest
 
 import pqdec
-from pqdec.cli import main
-from pqdec.decoupling import apply_isometry, decoupling_scores
+from pqdec.cli import _grid_value, main
+from pqdec.decoupling import _fmt, apply_isometry, decoupling_scores
 from pqdec.isometries import load_isometry
+from pqdec.scenarios import bound_sandwich
 from pqdec.states import load_state, max_entangled, to_density
 
 
@@ -130,6 +134,35 @@ def test_random_study_csv(tmp_path, capsys):
     for line in lines[1:]:
         cells = line.split(",")
         assert cells[-2] == "true" and cells[-1] == "true"
+
+
+def test_random_study_matches_the_sandwich_gate(capsys):
+    # Criterion 06's first two states, through the CLI and the claim function.
+    argv = ["random-study", "--dims", "2", "2", "--samples", "2", "--seed", "600"]
+    assert main(argv + ["--restarts", "6", "--iterations", "800"]) == 0
+    printed = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    rows = bound_sandwich((2, 2), 2, 600, restarts=6, iterations=800)
+    assert len(printed) == len(rows) == 2
+    for cells, row in zip(printed, rows):
+        assert cells["xi_estimate"] == _fmt(row.outcome.i_rb)
+        assert cells["povm_upper"] == _fmt(row.bounds.povm_upper)
+        assert cells["prop1_lower"] == _fmt(row.bounds.prop1_lower)
+        assert cells["lower_ok"] == str(row.lower_ok).lower() == "true"
+        assert cells["upper_ok"] == str(row.upper_ok).lower() == "true"
+
+
+def test_grid_values():
+    assert _grid_value("0:1:0.25") == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert _grid_value("0.5:0.5:1") == [0.5]
+    assert _grid_value("0:0.3:0.1") == [0.0, 0.1, 0.2, 0.30000000000000004]
+
+
+@pytest.mark.parametrize("text", ["1e20:1e20:1", "0:1:1e-12", "0:1:inf"])
+def test_unbounded_grid_is_a_usage_error(text):
+    # The first two used to append points without end (the step does not
+    # advance 1e20; 10^12 points), the third returned [nan].
+    with pytest.raises(argparse.ArgumentTypeError):
+        _grid_value(text)
 
 
 def test_byte_identical_outputs_across_thread_counts(tmp_path, batch_width):

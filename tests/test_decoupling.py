@@ -29,6 +29,7 @@ from pqdec.isometries import (
     twirl_isometry,
 )
 from pqdec.qmat import DimSig, ValidationError, kron
+from pqdec.scenarios import bell_line
 from pqdec.states import (
     DensityMatrix,
     classically_correlated,
@@ -484,11 +485,9 @@ class TestBoundsReport:
 
 class TestRatesSweep:
     def test_bell_line(self):
-        opts = OptimizerOptions(restarts=6, iterations=800, seed=0)
-        res = rates_sweep(BELL, [0.0, 0.5, 1.0], opts)
-        for row in res.rows:
-            assert abs(row.xi_envelope - (2.0 - row.eps)) <= 0.05
-            assert row.feasible
+        line = bell_line([0.0, 0.5, 1.0], restarts=6, iterations=800, seed=0)
+        assert line["envelope_dev"] <= 0.05
+        assert line["infeasible_points"] == 0
 
     def test_envelope_is_running_minimum(self):
         res = rates_sweep(BELL, [0.0, 0.5, 1.0], FAST)
