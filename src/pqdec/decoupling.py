@@ -6,9 +6,10 @@ I(R:B) + I(R:E) always reproduces I(R:A) on pure inputs, and the question is
 how small the kept share I(R:B) can be made while the discarded share I(R:E)
 stays below a privacy level eps and below I(R:B) itself.  This module
 provides the closed-form bounds on that minimum, a multistart optimizer
-that searches the isometry family directly (each restart runs L-BFGS on the
-exact gradient, one run per quadratic-penalty stage of rising weight, and
-all restarts advance in lockstep through one batched scorer), a
+that searches the isometry family directly (each restart runs rounds of
+L-BFGS on the exact gradient of an augmented Lagrangian, updating the
+constraint multipliers between rounds, and the restarts advance in
+lockstep through one batched scorer), a
 measurement-isometry variant, and a sweep of the trade-off curve over a grid
 of privacy levels.
 
@@ -24,6 +25,7 @@ import io
 import math
 import numbers
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Generator, Sequence
 
 import numpy as np
@@ -35,19 +37,16 @@ from .qmat import DimSig, ValidationError
 from .states import DensityMatrix, as_density
 
 UNBOUNDED = float("inf")
+# Constraint violation a candidate may carry and still count as feasible.
 FEASIBLE_TOL = 1e-6
-ACCEPT_SLACK = 1e-4
-# A restart whose kept share is this close to the lower bound cannot usefully
-# improve, so it skips its remaining penalty stages.
+# A feasible restart whose kept share is this close to the lower bound cannot
+# usefully improve, so it skips its remaining rounds.
 LOWER_BOUND_SLACK = 2.5e-7
-# Leak above eps still accepted by that early stop: well inside FEASIBLE_TOL.
-EARLY_STOP_LEAK = 1e-7
 # _run_restarts stops at the first feasible restart this close to the lower
 # bound; looser than LOWER_BOUND_SLACK so a restart that stopped early counts.
 RESTART_STOP_SLACK = 5e-7
-# The push-under stages aim at half the feasibility tolerance, so the final
-# rescoring clears FEASIBLE_TOL with margin.
-PUSH_TARGET = 0.5 * FEASIBLE_TOL
+# Restarts live at once in _run_restarts, so memory does not grow with their count.
+LOCKSTEP_WIDTH = 32
 # Smallest decrease accepted as progress; below it a move is rounding noise.
 MIN_DECREASE = 1e-13
 # Gradient norm below which L-BFGS treats its point as stationary.
@@ -58,7 +57,6 @@ LBFGS_PAIRS = 8
 TIE_TOL = 1e-9
 
 __all__ = [
-    "ACCEPT_SLACK",
     "BoundsReport",
     "DecouplingOutcome",
     "FEASIBLE_TOL",
@@ -207,12 +205,14 @@ class OptimizerOptions:
 
     ``d_b``/``d_e`` override the output dimensions (default: both equal the
     acted factor's dimension).  ``iterations`` is the per-restart descent
-    budget: a restart with ``k`` penalty stages (1 at unbounded privacy with
-    equal outputs, else 5) gives each stage ``iterations // (8 k)`` L-BFGS
-    iterations, at least one.  ``povm_elements`` sets the number of
-    measurement outcomes for :func:`povm_upper` (default: the acted factor's
-    dimension).  Counts must be positive integers and ``seed`` a
-    non-negative one; anything else raises :class:`ValidationError`.
+    budget: at unbounded privacy with equal outputs a restart is one L-BFGS
+    run of ``iterations // 8`` iterations; otherwise it runs five to eight
+    augmented-Lagrangian rounds of ``iterations // 40`` iterations, half that
+    plus one from the sixth round on; always at least one.
+    ``povm_elements`` sets the number of measurement outcomes for
+    :func:`povm_upper` (default: the acted factor's dimension).  Counts must
+    be positive integers and ``seed`` a non-negative one; anything else
+    raises :class:`ValidationError`.
 
     ``threads`` is deprecated and ignored: the restarts of a search run in
     lockstep in one thread, and results never depended on it.
@@ -432,17 +432,19 @@ def _lbfgs(merit, theta, iters):
     *Numerical Optimization*, 2006, alg. 7.4); with no pairs, or no descent,
     the pairs are dropped and the step is ``-g`` scaled to length 0.3.  The
     step is halved until the Armijo condition (c = 1e-4) holds and the merit
-    drops by more than ``MIN_DECREASE``.  Returns ``(theta, value,
-    stationary)``; ``stationary`` is set when the gradient norm falls below
-    ``GRAD_TOL`` or no trial step lowers the merit.
+    drops by more than ``MIN_DECREASE``.  Returns ``(theta, scores,
+    stationary)``, with the raw scores at the final ``theta``;
+    ``stationary`` is set when the gradient norm falls below ``GRAD_TOL`` or
+    no trial step lowers the merit.
     """
-    value = merit(*(yield theta, None))[0]
+    scores = yield theta, None
+    value = merit(*scores)[0]
     g = yield theta, merit
     pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
     for _ in range(iters):
         gn = float(np.linalg.norm(g))
         if gn < GRAD_TOL:
-            return theta, value, True
+            return theta, scores, True
         d = -g
         alphas = []
         for s, y, rho in reversed(pairs):
@@ -461,19 +463,20 @@ def _lbfgs(merit, theta, iters):
         a = 1.0
         for _ in range(30):
             cand = theta + a * d
-            v = merit(*(yield cand, None))[0]
+            trial = yield cand, None
+            v = merit(*trial)[0]
             if v <= value + 1e-4 * a * slope and v < value - MIN_DECREASE:
                 break
             a *= 0.5
         else:
-            return theta, value, True
+            return theta, scores, True
         g_new = yield cand, merit
         s, y = cand - theta, g_new - g
         sy = float(s @ y)
         if sy > 0.0:
             pairs = pairs[-(LBFGS_PAIRS - 1) :] + [(s, y, 1.0 / sy)]
-        theta, value, g = cand, v, g_new
-    return theta, value, False
+        theta, scores, value, g = cand, trial, v, g_new
+    return theta, scores, False
 
 
 def _measurement_start(basis: np.ndarray, d_a: int, d_b: int, d_e: int) -> np.ndarray | None:
@@ -502,30 +505,40 @@ def _warm_start(opts: OptimizerOptions, n: int) -> np.ndarray:
     return theta
 
 
-def _penalized(m_b: float, m_e: float, eps: float, weight: float, symmetric: bool):
-    """Penalized objective and its partial derivatives in ``m_b`` and ``m_e``.
+def _constraints(m_b: float, m_e: float, eps: float, symmetric: bool):
+    """The constraints ``c <= 0`` of a search at raw scores ``(m_b, m_e)``.
 
-    Symmetric outputs minimize the larger share and penalize the smaller one
-    above ``eps``; otherwise ``m_b`` is minimized with penalties on ``m_e``
-    exceeding ``m_b`` or ``eps``.  Returns ``(value, d/dm_b, d/dm_e)``.
+    Symmetric outputs keep the smaller share at most ``eps``; otherwise
+    ``m_e`` stays at most ``m_b`` and at most ``eps``.  An unbounded ``eps``
+    drops its constraint.  Each entry is ``(c, dc/dm_b, dc/dm_e)``.
     """
-    if symmetric:
-        over = 0.0 if math.isinf(eps) else max(0.0, min(m_b, m_e) - eps)
-        pen = weight * over**2
-        slope = 2.0 * weight * over
-        if m_b >= m_e:
-            return m_b + pen, 1.0, slope
-        return m_e + pen, slope, 1.0
-    cross = max(0.0, m_e - m_b)
-    over = 0.0 if math.isinf(eps) else max(0.0, m_e - eps)
-    pen = weight * cross**2
+    cons = [] if symmetric else [(m_e - m_b, -1.0, 1.0)]
     if not math.isinf(eps):
-        pen += weight * over**2
-    return (
-        m_b + pen,
-        1.0 - 2.0 * weight * cross,
-        2.0 * weight * (cross + over),
-    )
+        cons.append((m_b - eps, 1.0, 0.0) if symmetric and m_e > m_b else (m_e - eps, 0.0, 1.0))
+    return cons
+
+
+def _lagrangian(
+    m_b: float, m_e: float, eps: float, lam: Sequence[float], mu: float, symmetric: bool
+):
+    """PHR augmented Lagrangian and its partial derivatives in ``m_b`` and ``m_e``.
+
+    The objective is the larger share for symmetric outputs and ``m_b``
+    otherwise; each constraint ``c <= 0`` of :func:`_constraints`, with its
+    multiplier in ``lam``, adds ``(max(0, lam + mu c)^2 - lam^2) / (2 mu)``
+    (Nocedal & Wright, *Numerical Optimization*, 2006, sec. 17.4).  Returns
+    ``(value, d/dm_b, d/dm_e)``.
+    """
+    if symmetric and m_e > m_b:
+        value, d_b, d_e = m_e, 0.0, 1.0
+    else:
+        value, d_b, d_e = m_b, 1.0, 0.0
+    for mult, (c, c_b, c_e) in zip(lam, _constraints(m_b, m_e, eps, symmetric)):
+        t = max(0.0, mult + mu * c)
+        value += (t * t - mult * mult) / (2.0 * mu)
+        d_b += t * c_b
+        d_e += t * c_e
+    return value, d_b, d_e
 
 
 def _solve_restart(
@@ -535,63 +548,41 @@ def _solve_restart(
     symmetric: bool,
     stop_value: float,
 ):
-    """One restart from ``theta0``: an L-BFGS run per penalty stage.
+    """One restart from ``theta0``: L-BFGS rounds on an augmented Lagrangian.
 
-    Five stages raise the penalty weight from 10 to 1e5 (one stage when
-    unconstrained), each with ``opts.iterations // (8 * stages)`` iterations;
-    up to three push stages of half that plus one follow while the leak
-    overshoots ``eps``.  ``converged``: the last stage ended stationary, or
-    the restart reached ``stop_value``, which also ends it early.  A
+    Round ``k`` minimizes :func:`_lagrangian` at ``mu = 200 * 10**k`` and
+    then updates each multiplier to ``max(0, lam + mu c)``.  Rounds get
+    ``opts.iterations // 40`` L-BFGS iterations each, half that plus one from
+    the sixth on; the loop stops after the fifth round once every constraint
+    holds within ``FEASIBLE_TOL``, and after the eighth in any case.  With
+    no constraint (equal outputs, unbounded privacy) there is one round of
+    ``opts.iterations // 8``.  A feasible restart within
+    ``LOWER_BOUND_SLACK`` of ``stop_value`` cannot usefully improve and
+    stops after the round that brought it there.  ``converged``: the last
+    round ended stationary, or the restart reached ``stop_value``.  A
     generator of the requests of :func:`_lbfgs`; returns the restart's
     result.
     """
-
-    def merit(weight):
-        return lambda m_b, m_e: _penalized(m_b, m_e, eps, weight, symmetric)
-
-    unconstrained = math.isinf(eps) and symmetric
-    weights = [0.0] if unconstrained else [10.0 * 10.0 ** s for s in range(5)]
-    per_stage = max(1, opts.iterations // (8 * len(weights)))
-
+    lam = [0.0] * len(_constraints(0.0, 0.0, eps, symmetric))
+    rounds, per_round = (8, opts.iterations // 40) if lam else (1, opts.iterations // 8)
+    per_round = max(1, per_round)
     theta = theta0
-    for weight in weights:
-        theta, _, converged = yield from _lbfgs(merit(weight), theta, per_stage)
-        m_b, m_e = yield theta, None
-        lo = min(m_b, m_e) if symmetric else m_e
-        # A restart that already sits at the lower bound and satisfies the
-        # constraint cannot improve further; skip the remaining stages.
-        hi = max(m_b, m_e) if symmetric else m_b
-        if hi <= stop_value + LOWER_BOUND_SLACK and (
-            math.isinf(eps) or lo <= eps + EARLY_STOP_LEAK
-        ):
-            converged = True
+    for k in range(rounds):
+        mu = 200.0 * 10.0**k
+        merit = partial(_lagrangian, eps=eps, lam=lam, mu=mu, symmetric=symmetric)
+        iters = per_round if k < 5 else per_round // 2 + 1
+        theta, (m_b, m_e), converged = yield from _lbfgs(merit, theta, iters)
+        cons = _constraints(m_b, m_e, eps, symmetric)
+        feasible = all(c <= FEASIBLE_TOL for c, _, _ in cons)
+        at_bound = (max(m_b, m_e) if symmetric else m_b) <= stop_value + LOWER_BOUND_SLACK
+        if feasible and (at_bound or k >= 4):
+            converged = converged or at_bound
             break
-    else:
-        if not unconstrained:
-            weight = weights[-1]
-            for _ in range(3):
-                m_b, m_e = yield theta, None
-                lo = min(m_b, m_e) if symmetric else m_e
-                if math.isinf(eps) or lo <= eps + PUSH_TARGET:
-                    break
-                weight *= 10.0
-                theta, _, converged = yield from _lbfgs(
-                    merit(weight), theta, per_stage // 2 + 1
-                )
+        lam = [max(0.0, mult + mu * c) for mult, (c, _, _) in zip(lam, cons)]
 
-    m_b, m_e = yield theta, None
     if symmetric and m_e > m_b:
         m_b, m_e = m_e, m_b
-    feasible = m_e <= min(eps, m_b) + FEASIBLE_TOL
-    near = m_e <= eps + ACCEPT_SLACK and m_e <= m_b + ACCEPT_SLACK
-    return {
-        "theta": theta,
-        "i_rb": m_b,
-        "i_re": m_e,
-        "feasible": feasible,
-        "near": near,
-        "converged": converged,
-    }
+    return dict(theta=theta, i_rb=m_b, i_re=m_e, feasible=feasible, converged=converged)
 
 
 def _run_restarts(
@@ -599,27 +590,25 @@ def _run_restarts(
     count: int,
     restart: Callable[[int], Generator],
     stop_value: float,
-    width: int | None = None,
+    width: int = LOCKSTEP_WIDTH,
 ):
     """Run restarts in lockstep and keep those up to the first that hits ``stop_value``.
 
     ``restart(idx)`` makes restart ``idx`` as a generator of the requests of
-    :func:`_lbfgs`.  Up to ``width`` restarts (default: all) are live at
-    once, started in index order; each round answers every live restart's
-    pending request, with one :meth:`_Scorer.scores` call for all score
-    requests and one :meth:`_Scorer.gradient` call for all gradient
-    requests.  A finished restart that is feasible and within
-    ``RESTART_STOP_SLACK`` of ``stop_value`` drops every restart above it,
-    running or not yet started, so the considered set is the one a serial
-    run would stop at.  Each candidate scores the same in any stack, so the
-    results do not depend on ``width`` either.  Returns the considered
-    results, in restart order.
+    :func:`_lbfgs`.  Up to ``width`` restarts are live at once, started in
+    index order; each round answers every live restart's pending request,
+    with one :meth:`_Scorer.scores` call for all score requests and one
+    :meth:`_Scorer.gradient` call for all gradient requests.  A finished
+    restart that is feasible and within ``RESTART_STOP_SLACK`` of
+    ``stop_value`` drops every restart above it, running or not yet started,
+    so the considered set is the one a serial run would stop at.  Each
+    candidate scores the same in any stack, so the results do not depend on
+    ``width`` either.  Returns the considered results, in restart order.
     """
 
     def meets(res):
         return res["feasible"] and res["i_rb"] <= stop_value + RESTART_STOP_SLACK
 
-    width = count if width is None else width
     results: dict[int, dict] = {}
     gens: dict[int, Generator] = {}
     asks: dict[int, tuple] = {}  # each live restart's pending (theta, merit or None)
@@ -686,14 +675,15 @@ def optimize_xi(
     """Search the isometry family for the least kept correlations at privacy ``eps``.
 
     Runs ``opts.restarts`` independent descents (structured starts first,
-    then seeded random ones), each a staged quadratic-penalty minimization of
-    the larger mutual information subject to the smaller one staying below
-    ``eps``, by L-BFGS on the exact gradient in every stage.  Returns the
-    best feasible candidate: the lowest restart index whose ``i_rb`` lies
-    within ``TIE_TOL`` of the least, so round-off among near-tied restarts
-    does not decide it.  If no restart satisfies the privacy constraint
-    within ``1e-4``, the returned outcome reports the least-leaking
-    candidate with ``feasible=False``.
+    then seeded random ones), each minimizing the larger mutual information
+    subject to the smaller one staying below ``eps`` by rounds of L-BFGS on
+    an augmented Lagrangian, with a multiplier update after each round (see
+    :func:`_solve_restart`).  A restart is feasible when every constraint
+    holds within ``FEASIBLE_TOL``.  Returns the best feasible candidate: the
+    lowest restart index whose ``i_rb`` lies within ``TIE_TOL`` of the
+    least, so round-off among near-tied restarts does not decide it.  If no
+    restart is feasible, it returns the least-leaking one (least ``i_re``)
+    with ``feasible=False``.
 
     The restarts advance in lockstep, every round scoring all of them in
     one batched call (see :func:`_run_restarts`).  Identical inputs,
@@ -716,10 +706,10 @@ def optimize_xi(
         _measurement_start(isometries.fourier_basis(d_a), d_a, d_b, d_e),
     ]
     results = _search(scorer, eps, opts, prop1_lower(state, eps), starts)
-    pool = [r for r in results if r["feasible"]] or [r for r in results if r["near"]]
-    if pool:
-        least = min(r["i_rb"] for r in pool)
-        best = next(r for r in pool if r["i_rb"] <= least + TIE_TOL)
+    feasible = [r for r in results if r["feasible"]]
+    if feasible:
+        least = min(r["i_rb"] for r in feasible)
+        best = next(r for r in feasible if r["i_rb"] <= least + TIE_TOL)
     else:
         best = min(results, key=lambda r: r["i_re"])
 

@@ -260,6 +260,40 @@ class TestOptimize:
             assert abs(out.i_rb - povm_upper(rho, opts)) <= 1e-6
             assert out.converged
 
+    def test_three_level_state_interior_leak(self):
+        # An interior privacy level on the 3x3 state: every row is feasible
+        # and within 1e-3 of the converged optimum 0.236669.
+        rho = random_density(9, 9, 3, labels=("R", "A"), dims=(3, 3))
+        for seed in (0, 1):
+            out = optimize_xi(rho, 0.02, OptimizerOptions(restarts=4, iterations=600, seed=seed))
+            assert out.feasible
+            assert out.i_rb <= 0.2375
+
+    def test_live_restarts_are_bounded(self, monkeypatch):
+        # 40 restarts run at most LOCKSTEP_WIDTH = 32 at once, and the result
+        # is the one a serial run gives.
+        rho = random_density(4, 4, 31, labels=("R", "A"), dims=(2, 2))
+        opts = OptimizerOptions(restarts=40, iterations=16, seed=3)
+        widest = []
+        scores, gradient = dec._Scorer.scores, dec._Scorer.gradient
+
+        def counted_scores(self, theta):
+            widest.append(len(theta))
+            return scores(self, theta)
+
+        def counted_gradient(self, theta, merits):
+            widest.append(len(theta))
+            return gradient(self, theta, merits)
+
+        monkeypatch.setattr(dec._Scorer, "scores", counted_scores)
+        monkeypatch.setattr(dec._Scorer, "gradient", counted_gradient)
+        out = optimize_xi(rho, UNBOUNDED, opts)
+        assert out.restarts_used == 40
+        assert max(widest) == dec.LOCKSTEP_WIDTH == 32
+        run = dec._run_restarts
+        monkeypatch.setattr(dec, "_run_restarts", lambda *args: run(*args, width=1))
+        assert optimize_xi(rho, UNBOUNDED, opts).theta.tobytes() == out.theta.tobytes()
+
     def test_certificate_reproduces_scores(self):
         out = optimize_xi(BELL, UNBOUNDED, FAST)
         replay = apply_isometry(BELL, outcome_isometry(out))
@@ -337,12 +371,13 @@ def objective(scorer, merit):
     return f, grad
 
 
-def penalized_problem(rho, d_b, d_e, eps, weight):
+def penalized_problem(rho, d_b, d_e, eps, lam=(), mu=1.0):
+    """The augmented Lagrangian with multipliers ``lam`` at penalty ``mu``."""
     d_r, d_a = rho.sig.dims
     scorer = dec._Scorer(rho.matrix, d_r, d_a, d_b, d_e)
 
     def merit(m_b, m_e):
-        return dec._penalized(m_b, m_e, eps, weight, d_b == d_e)
+        return dec._lagrangian(m_b, m_e, eps, lam, mu, d_b == d_e)
 
     return (scorer, *objective(scorer, merit))
 
@@ -367,9 +402,12 @@ class TestBatchedScorer:
             scorer = measurement_scorer(rho, m)
         thetas = np.random.default_rng(d_b * d_e).standard_normal((6, scorer.n**2)) * 0.7
         thetas[0] = 0.0
+        constraints = 1 if d_b == d_e else 2
         merits = [
-            lambda m_b, m_e, w=w: dec._penalized(m_b, m_e, 0.01, w, d_b == d_e)
-            for w in (0.0, 10.0, 1e2, 1e3, 1e4, 1e5)
+            lambda m_b, m_e, lam=lam, mu=mu: dec._lagrangian(
+                m_b, m_e, 0.01, [lam] * constraints, mu, d_b == d_e
+            )
+            for lam, mu in ((0.0, 20.0), (0.0, 2e2), (0.5, 2e3), (1.0, 2e4), (0.0, 2e5), (2.0, 2e6))
         ]
         alone = [
             (scorer.scores(t[None]).tobytes(), scorer.gradient(t[None], [merit]).tobytes())
@@ -404,7 +442,7 @@ class TestExactGradient:
     @pytest.mark.parametrize("d", [2, 3])
     def test_symmetric_unconstrained(self, d):
         rho = random_density(d * d, d * d, 70 + d, labels=("R", "A"), dims=(d, d))
-        _, f, grad = penalized_problem(rho, d, d, UNBOUNDED, 0.0)
+        _, f, grad = penalized_problem(rho, d, d, UNBOUNDED)
         theta = np.random.default_rng(d).standard_normal(d**4) * 0.7
         self.assert_matches(f, grad, theta)
 
@@ -412,17 +450,39 @@ class TestExactGradient:
     def test_symmetric_with_active_penalty(self, d):
         rho = random_density(d * d, d * d, 80 + d, labels=("R", "A"), dims=(d, d))
         eps = 0.01
-        scorer, f, grad = penalized_problem(rho, d, d, eps, 1000.0)
         theta = np.random.default_rng(10 + d).standard_normal(d**4) * 0.7
-        m_b, m_e = scorer.scores(theta[None])[0]
-        assert min(m_b, m_e) > eps
+        for lam in (0.0, 0.5):
+            scorer, f, grad = penalized_problem(rho, d, d, eps, [lam], 2000.0)
+            m_b, m_e = scorer.scores(theta[None])[0]
+            assert min(m_b, m_e) > eps
+            self.assert_matches(f, grad, theta)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_symmetric_slack_constraint_with_multiplier(self, d):
+        # The constraint holds with slack 0.01, yet lam + mu c = 40 > 0, so
+        # the multiplier term still moves the merit and its gradient.
+        rho = random_density(d * d, d * d, 80 + d, labels=("R", "A"), dims=(d, d))
+        theta = np.random.default_rng(10 + d).standard_normal(d**4) * 0.7
+        m_b, m_e = dec._Scorer(rho.matrix, d, d, d, d).scores(theta[None])[0]
+        eps = min(m_b, m_e) + 0.01
+        _, f, grad = penalized_problem(rho, d, d, eps, [50.0], 1000.0)
+        assert 50.0 + 1000.0 * (min(m_b, m_e) - eps) > 0.0
         self.assert_matches(f, grad, theta)
 
     def test_asymmetric_outputs(self):
         rho = random_density(4, 4, 91, labels=("R", "A"), dims=(2, 2))
-        for eps, weight in ((UNBOUNDED, 10.0), (0.01, 1000.0)):
-            _, f, grad = penalized_problem(rho, 2, 3, eps, weight)
-            theta = np.random.default_rng(5).standard_normal(36) * 0.7
+        theta = np.random.default_rng(5).standard_normal(36) * 0.7
+        m_b, m_e = dec._Scorer(rho.matrix, 2, 2, 2, 3).scores(theta[None])[0]
+        # The last case keeps m_e below eps with slack 0.01 while
+        # lam + mu c = 30 > 0 on that constraint.
+        for eps, lam, mu in (
+            (UNBOUNDED, [0.0], 20.0),
+            (UNBOUNDED, [0.7], 20.0),
+            (0.01, [0.0, 0.0], 2000.0),
+            (0.01, [0.3, 0.5], 2000.0),
+            (m_e + 0.01, [0.2, 40.0], 1000.0),
+        ):
+            _, f, grad = penalized_problem(rho, 2, 3, eps, lam, mu)
             self.assert_matches(f, grad, theta)
 
     def test_measurement_objective(self):
@@ -445,14 +505,14 @@ class TestExactGradient:
         # is at its maximum there, so the gradient vanishes up to rounding,
         # and a step along it moves the objective by rounding only.
         rho = random_density(4, 4, 93, labels=("R", "A"), dims=(2, 2))
-        _, f, grad = penalized_problem(rho, 2, 2, UNBOUNDED, 0.0)
+        _, f, grad = penalized_problem(rho, 2, 2, UNBOUNDED)
         g = grad(np.zeros(16))
         assert np.all(np.isfinite(g)) and np.linalg.norm(g) <= 1e-12
         # A pure input keeps the RB and RE marginals at rank 2 of 4 at every
         # theta, where the gradient is far from zero: it matches central
         # differences and a step against it descends.
         pure = to_density(random_pure((2, 2), 93, labels=("R", "A")))
-        _, f, grad = penalized_problem(pure, 2, 2, UNBOUNDED, 0.0)
+        _, f, grad = penalized_problem(pure, 2, 2, UNBOUNDED)
         theta = np.random.default_rng(93).standard_normal(16) * 0.7
         self.assert_matches(f, grad, theta)
         g = grad(theta)
