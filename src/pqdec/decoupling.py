@@ -9,7 +9,8 @@ provides the closed-form bounds on that minimum, a multistart optimizer
 that searches the isometry family directly (each restart runs rounds of
 L-BFGS on the exact gradient of an augmented Lagrangian, updating the
 constraint multipliers between rounds, and the restarts advance in
-lockstep through one batched scorer), a
+lockstep, each round one batched call that returns the scores and the
+gradient at every restart's trial point), a
 measurement-isometry variant, and a sweep of the trade-off curve over a grid
 of privacy levels.
 
@@ -268,8 +269,8 @@ def outcome_isometry(outcome: DecouplingOutcome) -> Isometry:
 
 
 class _Scorer:
-    """Raw mutual-information scores, and their gradients, for a stack of
-    parameter vectors.
+    """Raw mutual-information scores, and the gradients of merits of them,
+    for a stack of parameter vectors, in one call (:meth:`evaluate`).
 
     Row ``k`` of a ``(K, n*n)`` stack ``theta`` names the isometry made of
     the first ``d_a`` columns of the ``n x n`` unitary ``exp(G(theta[k]))``,
@@ -296,47 +297,15 @@ class _Scorer:
         rho_r = np.trace(rho.reshape(d_r, d_a, d_r, d_a), axis1=1, axis2=3)
         self.s_r = spectrum_entropy(np.linalg.eigvalsh(rho_r))
 
-    def _isometries(self, theta: np.ndarray):
-        """The isometry matrices of the stack, and the eigendecompositions
-        behind them for :func:`_pull_back`."""
-        d_a, side = self.dims[1], self.dims[2] * self.dims[3]
-        u, w, v = _expm_params(theta, self.n, d_a)
-        if self.rows is None:
-            return u, w, v
-        iso = np.zeros((len(theta), side, d_a), dtype=complex)
-        iso[:, self.rows, :] = u
-        return iso, w, v
+    def evaluate(self, theta: np.ndarray, merits: Sequence[Callable]):
+        """Raw scores of a stack, and the gradient of each candidate's merit.
 
-    def _marginals(self, iso: np.ndarray):
-        """The RB, RE, B and E marginals of (1 (x) w) rho (1 (x) w)^dag, stacked."""
-        d_r, d_a, d_b, d_e = self.dims
-        k = len(iso)
-        t = _conjugate(self.rho, d_r, d_a, iso).reshape(k, d_r, d_b, d_e, d_r, d_b, d_e)
-        t_rb = np.trace(t, axis1=3, axis2=6)
-        t_re = np.trace(t, axis1=2, axis2=5)
-        t_b = np.trace(t_rb, axis1=1, axis2=3)
-        t_e = np.trace(t_re, axis1=1, axis2=3)
-        return (
-            t_rb.reshape(k, d_r * d_b, d_r * d_b),
-            t_re.reshape(k, d_r * d_e, d_r * d_e),
-            t_b,
-            t_e,
-        )
-
-    def scores(self, theta: np.ndarray) -> np.ndarray:
-        """Raw (I(R:B), I(R:E)) of each candidate, as a ``(K, 2)`` array."""
-        t_rb, t_re, t_b, t_e = self._marginals(self._isometries(theta)[0])
-        s_rb = spectrum_entropy(np.linalg.eigvalsh(t_rb))
-        s_re = spectrum_entropy(np.linalg.eigvalsh(t_re))
-        s_b = spectrum_entropy(np.linalg.eigvalsh(t_b))
-        s_e = spectrum_entropy(np.linalg.eigvalsh(t_e))
-        return np.stack([self.s_r + s_b - s_rb, self.s_r + s_e - s_re], axis=-1)
-
-    def gradient(self, theta: np.ndarray, merits: Sequence[Callable]) -> np.ndarray:
-        """Gradient in ``theta[k]`` of ``merits[k](I(R:B), I(R:E))[0]``, stacked.
-
-        Each merit maps its candidate's raw scores to ``(value, d/dI(R:B),
-        d/dI(R:E))``.  Each entropy is differentiated as
+        Returns ``(scores, grads)``: ``scores[k]`` holds the raw (I(R:B),
+        I(R:E)) of candidate ``k``, and ``grads[k]`` the gradient in
+        ``theta[k]`` of ``merits[k](I(R:B), I(R:E))[0]``, where each merit
+        maps its candidate's raw scores to ``(value, d/dI(R:B), d/dI(R:E))``.
+        One eigendecomposition per marginal gives both its entropy and the
+        entropy's derivative.  Each entropy is differentiated as
         :func:`spectrum_entropy` computes it, on the support of its marginal
         only: eigenvalues at or below ``EIGENVALUE_CLAMP`` contribute zero to
         the entropy and zero to its derivative.  At full rank this is the
@@ -346,15 +315,21 @@ class _Scorer:
         """
         d_r, d_a, d_b, d_e = self.dims
         k = len(theta)
-        iso, w, v = self._isometries(theta)
-        t_rb, t_re, t_b, t_e = self._marginals(iso)
-        s_rb, k_rb = _entropy_derivative(t_rb)
-        s_re, k_re = _entropy_derivative(t_re)
-        s_b, k_b = _entropy_derivative(t_b)
-        s_e, k_e = _entropy_derivative(t_e)
-        m_b = (self.s_r + s_b - s_rb).tolist()
-        m_e = (self.s_r + s_e - s_re).tolist()
-        c = np.array([merit(b, e)[1:] for merit, b, e in zip(merits, m_b, m_e)])
+        side = d_b * d_e
+        u, w, v = _expm_params(theta, self.n, d_a)
+        iso = u
+        if self.rows is not None:
+            iso = np.zeros((k, side, d_a), dtype=complex)
+            iso[:, self.rows, :] = u
+        t = _conjugate(self.rho, d_r, d_a, iso).reshape(k, d_r, d_b, d_e, d_r, d_b, d_e)
+        t_rb = np.trace(t, axis1=3, axis2=6)
+        t_re = np.trace(t, axis1=2, axis2=5)
+        s_rb, k_rb = _entropy_derivative(t_rb.reshape(k, d_r * d_b, d_r * d_b))
+        s_re, k_re = _entropy_derivative(t_re.reshape(k, d_r * d_e, d_r * d_e))
+        s_b, k_b = _entropy_derivative(np.trace(t_rb, axis1=1, axis2=3))
+        s_e, k_e = _entropy_derivative(np.trace(t_re, axis1=1, axis2=3))
+        scores = np.stack([self.s_r + s_b - s_rb, self.s_r + s_e - s_re], axis=-1)
+        c = np.array([merit(b, e)[1:] for merit, (b, e) in zip(merits, scores.tolist())])
         c_b, c_e = c.T.reshape(2, k, 1, 1, 1, 1)
         # dI(R:B) = tr(dt_b k_b) - tr(dt_rb k_rb); lifted to R(x)B(x)E the
         # two terms act as 1_R (x) k_b (x) 1_E and k_rb (x) 1_E.
@@ -367,11 +342,10 @@ class _Scorer:
         )
         # d tr(A t) = 2 Re tr(A (1 (x) dw) rho (1 (x) w)^dag) for Hermitian A,
         # so the gradient in w is 2 conj(tr_R(A (1 (x) w) rho)).
-        side = d_b * d_e
         q = lifted.reshape(k, d_r * side * d_r, side) @ iso
         q = q.reshape(k, d_r * side, d_r * d_a) @ self.rho
         g_w = 2.0 * np.trace(q.reshape(k, d_r, side, d_r, d_a), axis1=1, axis2=3).conj()
-        return _pull_back(g_w if self.rows is None else g_w[:, self.rows, :], w, v)
+        return scores, _pull_back(g_w if self.rows is None else g_w[:, self.rows, :], w, v)
 
 
 def _entropy_derivative(sigma: np.ndarray):
@@ -424,22 +398,24 @@ def _pull_back(g_w: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _lbfgs(merit, theta, iters):
     """Limited-memory BFGS on ``merit`` from ``theta``, at most ``iters`` iterations.
 
-    A generator of evaluation requests: it yields ``(theta, None)`` for the
-    raw scores (I(R:B), I(R:E)) at ``theta``, to which it applies ``merit``
-    itself, and ``(theta, merit)`` for the merit's gradient there; the
-    driver sends each answer back.  Directions come from the two-loop
+    A generator of evaluation requests: it yields ``(theta, merit)`` and the
+    caller sends back the raw scores (I(R:B), I(R:E)) at ``theta`` together
+    with the merit's gradient there, so each trial point costs one request,
+    and an accepted one needs no second.  ``merit`` maps the raw scores to
+    ``(value, d/dI(R:B), d/dI(R:E))``.  Directions come from the two-loop
     recursion over the last ``LBFGS_PAIRS`` (s, y) pairs (Nocedal & Wright,
     *Numerical Optimization*, 2006, alg. 7.4); with no pairs, or no descent,
     the pairs are dropped and the step is ``-g`` scaled to length 0.3.  The
-    step is halved until the Armijo condition (c = 1e-4) holds and the merit
-    drops by more than ``MIN_DECREASE``.  Returns ``(theta, scores,
-    stationary)``, with the raw scores at the final ``theta``;
-    ``stationary`` is set when the gradient norm falls below ``GRAD_TOL`` or
-    no trial step lowers the merit.
+    step is halved, at most 30 times, until the Armijo condition (c = 1e-4)
+    holds and the merit drops by more than ``MIN_DECREASE``.  Returns
+    ``(theta, scores, stationary)``, with the raw scores at the final
+    ``theta``; ``stationary`` is set when the gradient norm falls below
+    ``GRAD_TOL``, when 30 halvings find no step that passes, or as soon as
+    a step's first-order decrease ``a |slope|`` is at most ``MIN_DECREASE``,
+    since from there on no trial can pass to first order.
     """
-    scores = yield theta, None
+    scores, g = yield theta, merit
     value = merit(*scores)[0]
-    g = yield theta, merit
     pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
     for _ in range(iters):
         gn = float(np.linalg.norm(g))
@@ -462,15 +438,16 @@ def _lbfgs(merit, theta, iters):
             slope = -0.3 * gn
         a = 1.0
         for _ in range(30):
+            if -a * slope <= MIN_DECREASE:
+                return theta, scores, True
             cand = theta + a * d
-            trial = yield cand, None
+            trial, g_new = yield cand, merit
             v = merit(*trial)[0]
             if v <= value + 1e-4 * a * slope and v < value - MIN_DECREASE:
                 break
             a *= 0.5
         else:
             return theta, scores, True
-        g_new = yield cand, merit
         s, y = cand - theta, g_new - g
         sy = float(s @ y)
         if sy > 0.0:
@@ -596,14 +573,14 @@ def _run_restarts(
 
     ``restart(idx)`` makes restart ``idx`` as a generator of the requests of
     :func:`_lbfgs`.  Up to ``width`` restarts are live at once, started in
-    index order; each round answers every live restart's pending request,
-    with one :meth:`_Scorer.scores` call for all score requests and one
-    :meth:`_Scorer.gradient` call for all gradient requests.  A finished
-    restart that is feasible and within ``RESTART_STOP_SLACK`` of
-    ``stop_value`` drops every restart above it, running or not yet started,
-    so the considered set is the one a serial run would stop at.  Each
-    candidate scores the same in any stack, so the results do not depend on
-    ``width`` either.  Returns the considered results, in restart order.
+    index order; each round answers every live restart's pending request
+    with one :meth:`_Scorer.evaluate` call, which returns the scores and the
+    merit gradients of the whole stack at once.  A finished restart that is
+    feasible and within ``RESTART_STOP_SLACK`` of ``stop_value`` drops every
+    restart above it, running or not yet started, so the considered set is
+    the one a serial run would stop at.  Each candidate scores the same in
+    any stack, so the results do not depend on ``width`` either.  Returns
+    the considered results, in restart order.
     """
 
     def meets(res):
@@ -611,7 +588,7 @@ def _run_restarts(
 
     results: dict[int, dict] = {}
     gens: dict[int, Generator] = {}
-    asks: dict[int, tuple] = {}  # each live restart's pending (theta, merit or None)
+    asks: dict[int, tuple] = {}  # each live restart's pending (theta, merit)
     started, cutoff = 0, count
     while True:
         while started < cutoff and len(gens) < width:
@@ -620,20 +597,13 @@ def _run_restarts(
             started += 1
         if not gens:
             break
-        replies = {}
-        scored = [i for i, (_, merit) in asks.items() if merit is None]
-        if scored:
-            values = scorer.scores(np.stack([asks[i][0] for i in scored]))
-            replies.update(zip(scored, map(tuple, values.tolist())))
-        graded = [i for i, (_, merit) in asks.items() if merit is not None]
-        if graded:
-            grads = scorer.gradient(
-                np.stack([asks[i][0] for i in graded]), [asks[i][1] for i in graded]
-            )
-            replies.update(zip(graded, grads))
-        for i, reply in replies.items():
+        live = list(asks)
+        scores, grads = scorer.evaluate(
+            np.stack([asks[i][0] for i in live]), [asks[i][1] for i in live]
+        )
+        for i, row, grad in zip(live, scores.tolist(), grads):
             try:
-                asks[i] = gens[i].send(reply)
+                asks[i] = gens[i].send((row, grad))
             except StopIteration as done:
                 del gens[i], asks[i]
                 results[i] = done.value
@@ -685,10 +655,12 @@ def optimize_xi(
     restart is feasible, it returns the least-leaking one (least ``i_re``)
     with ``feasible=False``.
 
-    The restarts advance in lockstep, every round scoring all of them in
-    one batched call (see :func:`_run_restarts`).  Identical inputs,
-    options, and seed give an identical outcome, however many restarts
-    share a batch.
+    The restarts advance in lockstep, every round giving all of them the
+    scores and the merit gradient at their trial points in one batched call
+    (see :func:`_run_restarts`); a line search stops as soon as no trial
+    step can lower the merit by more than ``MIN_DECREASE`` to first order
+    (see :func:`_lbfgs`).  Identical inputs, options, and seed give an
+    identical outcome, however many restarts share a batch.
     """
     eps = _check_eps(eps)
     opts = opts if opts is not None else OptimizerOptions()

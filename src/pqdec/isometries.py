@@ -387,7 +387,7 @@ def isometry_to_json(v: Isometry) -> str:
     return json.dumps(payload)
 
 
-def isometry_from_json(text: str) -> Isometry:
+def isometry_from_json(text: str | bytes) -> Isometry:
     try:
         payload = json.loads(text)
         d_in = int(payload["d_in"])
@@ -409,5 +409,5 @@ def save_isometry(v: Isometry, path) -> None:
 
 
 def load_isometry(path) -> Isometry:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return isometry_from_json(fh.read())

@@ -289,13 +289,13 @@ def state_to_json(state: DensityMatrix) -> str:
     return json.dumps(payload)
 
 
-def state_from_json(text: str, tol: float = qmat.DENSITY_TOL) -> DensityMatrix:
+def state_from_json(text: str | bytes, tol: float = qmat.DENSITY_TOL) -> DensityMatrix:
     try:
         payload = json.loads(text)
         labels = tuple(payload["labels"])
         dims = tuple(payload["dims"])
         entries = payload["matrix"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
         raise ValidationError(f"malformed state document: {exc}") from exc
     sig = DimSig(dims, labels)
     m = qmat.matrix_from_entries(entries, sig.side, sig.side)
@@ -309,5 +309,5 @@ def save_state(state: DensityMatrix, path) -> None:
 
 
 def load_state(path, tol: float = qmat.DENSITY_TOL) -> DensityMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return state_from_json(fh.read(), tol)

@@ -13,6 +13,7 @@ import pqdec
 from pqdec.cli import _grid_value, main
 from pqdec.decoupling import _fmt, apply_isometry, decoupling_scores
 from pqdec.isometries import load_isometry
+from pqdec.qmat import ValidationError
 from pqdec.scenarios import bound_sandwich
 from pqdec.states import load_state, max_entangled, to_density
 
@@ -299,6 +300,16 @@ def test_malformed_state_is_a_validation_failure(tmp_path, capsys, corrupt):
     path.write_text(json.dumps(doc))
     assert main(["qmi", "--state", str(path), "--x", "R", "--y", "A"]) == 3
     assert "validation failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", [b"\xff\xfe", b"\x80{}"], ids=["utf16_bom", "bad_utf8"])
+def test_undecodable_state_is_a_validation_failure(tmp_path, capsys, raw):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    assert main(["entropy", "--state", str(path)]) == 3
+    assert "malformed state document" in capsys.readouterr().err
+    with pytest.raises(ValidationError, match="malformed isometry document"):
+        load_isometry(path)
 
 
 def test_import_loads_no_scipy():

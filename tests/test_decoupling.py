@@ -275,18 +275,13 @@ class TestOptimize:
         rho = random_density(4, 4, 31, labels=("R", "A"), dims=(2, 2))
         opts = OptimizerOptions(restarts=40, iterations=16, seed=3)
         widest = []
-        scores, gradient = dec._Scorer.scores, dec._Scorer.gradient
+        evaluate = dec._Scorer.evaluate
 
-        def counted_scores(self, theta):
+        def counted(self, theta, merits):
             widest.append(len(theta))
-            return scores(self, theta)
+            return evaluate(self, theta, merits)
 
-        def counted_gradient(self, theta, merits):
-            widest.append(len(theta))
-            return gradient(self, theta, merits)
-
-        monkeypatch.setattr(dec._Scorer, "scores", counted_scores)
-        monkeypatch.setattr(dec._Scorer, "gradient", counted_gradient)
+        monkeypatch.setattr(dec._Scorer, "evaluate", counted)
         out = optimize_xi(rho, UNBOUNDED, opts)
         assert out.restarts_used == 40
         assert max(widest) == dec.LOCKSTEP_WIDTH == 32
@@ -359,14 +354,19 @@ def central_difference(f, theta, h=1e-5):
     return grad
 
 
+def raw_scores(scorer, thetas):
+    """The raw (I(R:B), I(R:E)) of a stack, evaluated under a merit that is I(R:B)."""
+    return scorer.evaluate(thetas, [lambda m_b, m_e: (m_b, 1.0, 0.0)] * len(thetas))[0]
+
+
 def objective(scorer, merit):
     """The search objective and its exact gradient at one theta, through stacks of one."""
 
     def f(theta):
-        return merit(*scorer.scores(theta[None])[0])[0]
+        return merit(*scorer.evaluate(theta[None], [merit])[0][0])[0]
 
     def grad(theta):
-        return scorer.gradient(theta[None], [merit])[0]
+        return scorer.evaluate(theta[None], [merit])[1][0]
 
     return f, grad
 
@@ -385,6 +385,60 @@ def penalized_problem(rho, d_b, d_e, eps, lam=(), mu=1.0):
 def measurement_scorer(rho, m):
     d_r, d_a = rho.sig.dims
     return dec._Scorer(rho.matrix, d_r, d_a, m, m, rows=np.arange(m) * m + np.arange(m))
+
+
+def drive(search, reply):
+    """Answer every request of an L-BFGS generator with ``reply(theta)``.
+
+    Returns the generator's result and the points it asked about, in order.
+    """
+    asked = []
+    ask = next(search)
+    while True:
+        asked.append(ask[0])
+        try:
+            ask = search.send(reply(ask[0]))
+        except StopIteration as done:
+            return done.value, asked
+
+
+class TestLbfgs:
+    """The request pattern of one L-BFGS run, on toy merits answered by hand."""
+
+    @staticmethod
+    def merit(m_b, m_e):
+        return m_b, 1.0, 0.0
+
+    def test_an_accepted_unit_step_costs_one_request(self):
+        # A convex quadratic from a non-stationary start: each of the eight
+        # iterations takes its unit step, and the point it lands on arrives
+        # with its gradient, so the run asks about 1 + 8 points, each once.
+        a = np.diag(np.arange(1.0, 7.0))
+
+        def reply(x):
+            return (0.5 * x @ a @ x, 0.0), a @ x
+
+        (theta, scores, stationary), asked = drive(dec._lbfgs(self.merit, np.ones(6), 8), reply)
+        assert len(asked) == 9 and not stationary
+        values = [reply(x)[0][0] for x in asked]
+        assert all(after < before for before, after in zip(values, values[1:]))
+        assert theta.tobytes() == asked[-1].tobytes() and scores == reply(theta)[0]
+
+    def test_a_search_that_cannot_pass_is_not_tried(self):
+        # A stiff 1-D quadratic, f = c x^2 / 2 with c = 1e4: the first step
+        # (length 0.3) lands 1e-9 from the minimum, where the gradient 1e-5
+        # is above GRAD_TOL but the secant step promises a decrease of only
+        # c x^2 = 1e-14 <= MIN_DECREASE, and every halving promises less.
+        c = 1e4
+
+        def reply(x):
+            return (0.5 * c * float(x @ x), 0.0), c * x
+
+        (theta, _, stationary), asked = drive(
+            dec._lbfgs(self.merit, np.array([0.3 + 1e-9]), 50), reply
+        )
+        assert stationary and len(asked) <= 2
+        assert abs(theta[0] - 1e-9) <= 1e-15
 
 
 class TestBatchedScorer:
@@ -410,12 +464,11 @@ class TestBatchedScorer:
             for lam, mu in ((0.0, 20.0), (0.0, 2e2), (0.5, 2e3), (1.0, 2e4), (0.0, 2e5), (2.0, 2e6))
         ]
         alone = [
-            (scorer.scores(t[None]).tobytes(), scorer.gradient(t[None], [merit]).tobytes())
+            tuple(a.tobytes() for a in scorer.evaluate(t[None], [merit]))
             for t, merit in zip(thetas, merits)
         ]
         for k in range(1, 7):
-            scores = scorer.scores(thetas[:k])
-            grads = scorer.gradient(thetas[:k], merits[:k])
+            scores, grads = scorer.evaluate(thetas[:k], merits[:k])
             assert scores.shape == (k, 2) and grads.shape == (k, scorer.n**2)
             stacked = [(scores[i : i + 1].tobytes(), grads[i : i + 1].tobytes()) for i in range(k)]
             assert stacked == alone[:k]
@@ -424,7 +477,7 @@ class TestBatchedScorer:
         rho = random_density(9, 9, 3, labels=("R", "A"), dims=(3, 3))
         scorer = dec._Scorer(rho.matrix, 3, 3, 3, 3)
         thetas = np.random.default_rng(0).standard_normal((3, 81)) * 0.7
-        for theta, (m_b, m_e) in zip(thetas, scorer.scores(thetas)):
+        for theta, (m_b, m_e) in zip(thetas, raw_scores(scorer, thetas)):
             out = apply_isometry(rho, from_parameters(theta, 3, 3, 3))
             assert abs(m_b - mutual_information(out, "R", "B")) <= 1e-12
             assert abs(m_e - mutual_information(out, "R", "E")) <= 1e-12
@@ -453,7 +506,7 @@ class TestExactGradient:
         theta = np.random.default_rng(10 + d).standard_normal(d**4) * 0.7
         for lam in (0.0, 0.5):
             scorer, f, grad = penalized_problem(rho, d, d, eps, [lam], 2000.0)
-            m_b, m_e = scorer.scores(theta[None])[0]
+            m_b, m_e = raw_scores(scorer, theta[None])[0]
             assert min(m_b, m_e) > eps
             self.assert_matches(f, grad, theta)
 
@@ -463,7 +516,7 @@ class TestExactGradient:
         # the multiplier term still moves the merit and its gradient.
         rho = random_density(d * d, d * d, 80 + d, labels=("R", "A"), dims=(d, d))
         theta = np.random.default_rng(10 + d).standard_normal(d**4) * 0.7
-        m_b, m_e = dec._Scorer(rho.matrix, d, d, d, d).scores(theta[None])[0]
+        m_b, m_e = raw_scores(dec._Scorer(rho.matrix, d, d, d, d), theta[None])[0]
         eps = min(m_b, m_e) + 0.01
         _, f, grad = penalized_problem(rho, d, d, eps, [50.0], 1000.0)
         assert 50.0 + 1000.0 * (min(m_b, m_e) - eps) > 0.0
@@ -472,7 +525,7 @@ class TestExactGradient:
     def test_asymmetric_outputs(self):
         rho = random_density(4, 4, 91, labels=("R", "A"), dims=(2, 2))
         theta = np.random.default_rng(5).standard_normal(36) * 0.7
-        m_b, m_e = dec._Scorer(rho.matrix, 2, 2, 2, 3).scores(theta[None])[0]
+        m_b, m_e = raw_scores(dec._Scorer(rho.matrix, 2, 2, 2, 3), theta[None])[0]
         # The last case keeps m_e below eps with slack 0.01 while
         # lam + mu c = 30 > 0 on that constraint.
         for eps, lam, mu in (
