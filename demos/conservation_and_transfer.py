@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import argparse
 
-import numpy as np
-
 from pqdec import (
+    DimSig,
+    Isometry,
     apply_isometry,
-    from_parameters,
     max_entangled,
     mutual_information,
     random_pure,
+    random_unitary,
     to_density,
     twirl_isometry,
 )
@@ -33,11 +33,10 @@ def main() -> None:
 
     print("random splittings of random pure states")
     print(f"{'I(R:A)':>10} {'I(R:B)':>10} {'I(R:E)':>10} {'B+E':>10}")
-    rng = np.random.default_rng(args.seed)
     for k in range(args.samples):
         rho = to_density(random_pure([2, 3], args.seed + k, labels=("R", "A")))
-        theta = rng.standard_normal(81)
-        out = apply_isometry(rho, from_parameters(theta, 3, 3, 3))
+        v = Isometry(random_unitary(9, args.seed + 100 + k)[:, :3], DimSig((3, 3), ("B", "E")), 3)
+        out = apply_isometry(rho, v)
         i_ra = mutual_information(rho, "R", "A")
         i_rb = mutual_information(out, "R", "B")
         i_re = mutual_information(out, "R", "E")

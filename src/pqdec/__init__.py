@@ -39,7 +39,6 @@ from .isometries import (
     Isometry,
     RankOnePovm,
     bell_shredder,
-    from_parameters,
     mub_shredder,
     pauli_twirl_isometry,
     povm_isometry,
@@ -58,7 +57,6 @@ from .qmat import (
     DimSig,
     ValidationError,
     eig_hermitian,
-    expm_skew,
     kron,
     partial_trace,
     trace_distance,

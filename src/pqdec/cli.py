@@ -187,7 +187,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         "d_a": outcome.d_a,
         "d_b": outcome.d_b,
         "d_e": outcome.d_e,
-        "theta": [float(t) for t in outcome.theta],
         "isometry": json.loads(isometry_to_json(certificate)),
     }
     _emit(json.dumps(payload, indent=2), args.out)

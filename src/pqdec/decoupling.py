@@ -35,7 +35,7 @@ from . import entropics, isometries, qmat
 from .entropics import EIGENVALUE_CLAMP, spectrum_entropy
 from .isometries import Isometry
 from .qmat import DimSig, ValidationError
-from .states import DensityMatrix, as_density
+from .states import DensityMatrix, as_density, random_unitary
 
 UNBOUNDED = float("inf")
 # Constraint violation a candidate may carry and still count as feasible.
@@ -213,7 +213,11 @@ class OptimizerOptions:
     ``povm_elements`` sets the number of measurement outcomes for
     :func:`povm_upper` (default: the acted factor's dimension).  Counts must
     be positive integers and ``seed`` a non-negative one; anything else
-    raises :class:`ValidationError`.
+    raises :class:`ValidationError`.  ``warm_theta``, if set, is the start of
+    restart 0: an isometry matrix of shape ``(d_b*d_e, d_a)``, finite and
+    with orthonormal columns within ``qmat.UNITARITY_TOL`` (a search raises
+    :class:`ValidationError` otherwise), such as an earlier outcome's
+    ``theta``.
 
     ``threads`` is deprecated and ignored: the restarts of a search run in
     lockstep in one thread, and results never depended on it.
@@ -245,8 +249,10 @@ class OptimizerOptions:
 class DecouplingOutcome:
     """Best candidate found by :func:`optimize_xi`.
 
-    ``theta`` parameterizes the certificate isometry (reconstruct it with
-    :func:`outcome_isometry`); ``i_rb``/``i_re`` are its canonical scores.
+    ``theta`` is the matrix of the certificate isometry, of shape
+    ``(d_b*d_e, d_a)`` with orthonormal columns (:func:`outcome_isometry`
+    wraps it with its output signature); ``i_rb``/``i_re`` are its canonical
+    scores.
     """
 
     theta: np.ndarray
@@ -262,23 +268,21 @@ class DecouplingOutcome:
 
 
 def outcome_isometry(outcome: DecouplingOutcome) -> Isometry:
-    """Rebuild the certificate isometry recorded in an optimizer outcome."""
-    return isometries.from_parameters(
-        outcome.theta, outcome.d_a, outcome.d_b, outcome.d_e
-    )
+    """The certificate isometry recorded in an optimizer outcome."""
+    return Isometry(outcome.theta, DimSig((outcome.d_b, outcome.d_e), ("B", "E")), outcome.d_a)
 
 
 class _Scorer:
-    """Raw mutual-information scores, and the gradients of merits of them,
-    for a stack of parameter vectors, in one call (:meth:`evaluate`).
+    """Raw mutual-information scores, and the Riemannian gradients of merits
+    of them, for a stack of isometries, in one call (:meth:`evaluate`).
 
-    Row ``k`` of a ``(K, n*n)`` stack ``theta`` names the isometry made of
-    the first ``d_a`` columns of the ``n x n`` unitary ``exp(G(theta[k]))``,
-    with ``n = d_b*d_e``; with ``rows`` given, ``n = len(rows)`` and those
-    columns are embedded in the listed rows of a ``d_b*d_e x d_a`` matrix
-    (the measurement family of :func:`povm_upper`).  Every step works on the
-    whole stack at once, and each candidate's result is the same, bit for
-    bit, whatever else shares its stack.
+    Entry ``k`` of a ``(K, n, d_a)`` stack ``x`` is an ``n x d_a`` matrix
+    with orthonormal columns, a point of the Stiefel manifold: the isometry
+    itself, with ``n = d_b*d_e``, or, with ``rows`` given, ``n = len(rows)``
+    and its rows are embedded in the listed rows of a ``d_b*d_e x d_a``
+    matrix (the measurement family of :func:`povm_upper`).  Every step works
+    on the whole stack at once, and each candidate's result is the same, bit
+    for bit, whatever else shares its stack.
     """
 
     def __init__(
@@ -297,13 +301,16 @@ class _Scorer:
         rho_r = np.trace(rho.reshape(d_r, d_a, d_r, d_a), axis1=1, axis2=3)
         self.s_r = spectrum_entropy(np.linalg.eigvalsh(rho_r))
 
-    def evaluate(self, theta: np.ndarray, merits: Sequence[Callable]):
+    def evaluate(self, x: np.ndarray, merits: Sequence[Callable]):
         """Raw scores of a stack, and the gradient of each candidate's merit.
 
         Returns ``(scores, grads)``: ``scores[k]`` holds the raw (I(R:B),
-        I(R:E)) of candidate ``k``, and ``grads[k]`` the gradient in
-        ``theta[k]`` of ``merits[k](I(R:B), I(R:E))[0]``, where each merit
+        I(R:E)) of candidate ``k``, and ``grads[k]`` the Riemannian gradient
+        at ``x[k]`` of ``merits[k](I(R:B), I(R:E))[0]``, where each merit
         maps its candidate's raw scores to ``(value, d/dI(R:B), d/dI(R:E))``.
+        The gradient is the Euclidean one for the inner product
+        ``Re tr(a^dag b)``, projected onto the tangent space at ``x[k]``
+        (see :func:`_tangent`).
         One eigendecomposition per marginal gives both its entropy and the
         entropy's derivative.  Each entropy is differentiated as
         :func:`spectrum_entropy` computes it, on the support of its marginal
@@ -314,13 +321,12 @@ class _Scorer:
         diverges.
         """
         d_r, d_a, d_b, d_e = self.dims
-        k = len(theta)
+        k = len(x)
         side = d_b * d_e
-        u, w, v = _expm_params(theta, self.n, d_a)
-        iso = u
+        iso = x
         if self.rows is not None:
             iso = np.zeros((k, side, d_a), dtype=complex)
-            iso[:, self.rows, :] = u
+            iso[:, self.rows, :] = x
         t = _conjugate(self.rho, d_r, d_a, iso).reshape(k, d_r, d_b, d_e, d_r, d_b, d_e)
         t_rb = np.trace(t, axis1=3, axis2=6)
         t_re = np.trace(t, axis1=2, axis2=5)
@@ -341,11 +347,11 @@ class _Scorer:
             + a_re[:, :, None, :, :, None, :] * np.eye(d_b)[:, None, None, :, None]
         )
         # d tr(A t) = 2 Re tr(A (1 (x) dw) rho (1 (x) w)^dag) for Hermitian A,
-        # so the gradient in w is 2 conj(tr_R(A (1 (x) w) rho)).
+        # so the Euclidean gradient in w is z = 2 tr_R(A (1 (x) w) rho).
         q = lifted.reshape(k, d_r * side * d_r, side) @ iso
         q = q.reshape(k, d_r * side, d_r * d_a) @ self.rho
-        g_w = 2.0 * np.trace(q.reshape(k, d_r, side, d_r, d_a), axis1=1, axis2=3).conj()
-        return scores, _pull_back(g_w if self.rows is None else g_w[:, self.rows, :], w, v)
+        z = 2.0 * np.trace(q.reshape(k, d_r, side, d_r, d_a), axis1=1, axis2=3)
+        return scores, _tangent(x, z if self.rows is None else z[:, self.rows, :])
 
 
 def _entropy_derivative(sigma: np.ndarray):
@@ -361,77 +367,61 @@ def _entropy_derivative(sigma: np.ndarray):
     return spectrum_entropy(lam), (vec * coef[..., None, :]) @ vec.conj().swapaxes(-1, -2)
 
 
-def _expm_params(theta: np.ndarray, n: int, cols: int):
-    """First ``cols`` columns of each unitary ``exp(G(theta[k]))`` in a stack,
-    with the eigendecompositions ``iG = v diag(w) v^dag``."""
-    g = isometries._generator_from_parameters(theta, n)
-    w, v = np.linalg.eigh(1j * g)
-    u = (v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(-1, -2)[:, :, :cols]
-    return u, w, v
+def _tangent(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Projection of ``v`` onto the tangent space of the Stiefel manifold at
+    ``x``, ``v - x sym(x^dag v)``, for one matrix or a stack."""
+    h = x.conj().swapaxes(-1, -2) @ v
+    return v - x @ (0.5 * (h + h.conj().swapaxes(-1, -2)))
 
 
-def _pull_back(g_w: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Gradients in theta from gradients ``g_w`` in the leading columns of U, stacked.
-
-    ``U = exp(G) = v diag(exp(-i w)) v^dag``; its differential follows from
-    the Daleckii-Krein formula, ``dU = v (F o (v^dag dH v)) v^dag`` with
-    ``dH = i dG`` and the divided differences ``F`` of ``exp(-i x)`` at the
-    eigenvalues ``w`` (written with ``sinc`` so that close eigenvalues need
-    no special case).  The change ``Re sum(g_w * dU[:, :k])`` becomes
-    ``Re tr(gamma^dag dG)`` with a skew-Hermitian ``gamma``, and each
-    parameter's partial derivative is the matching entry of ``gamma``,
-    doubled for the strict upper triangle, where each parameter moves two
-    entries of ``G``.
-    """
-    cols = g_w.shape[-1]
-    n = w.shape[-1]
-    dw = w[:, :, None] - w[:, None, :]
-    f = -1j * np.exp(-0.5j * (w[:, :, None] + w[:, None, :])) * np.sinc(dw / (2.0 * np.pi))
-    vh = v.conj().swapaxes(-1, -2)
-    q = vh[:, :, :cols] @ g_w.swapaxes(-1, -2) @ v
-    q = v @ (q * f) @ vh
-    grad = isometries._parameters_from_generator(-0.5j * (q + q.conj().swapaxes(-1, -2)))
-    grad[:, n:] *= 2.0
-    return grad
+def _inner(a: np.ndarray, b: np.ndarray) -> float:
+    """The real inner product ``Re tr(a^dag b)`` of two matrices of one shape."""
+    return float(np.vdot(a, b).real)
 
 
-def _lbfgs(merit, theta, iters):
-    """Limited-memory BFGS on ``merit`` from ``theta``, at most ``iters`` iterations.
+def _lbfgs(merit, x, iters):
+    """Riemannian limited-memory BFGS on ``merit`` from the isometry ``x``,
+    at most ``iters`` iterations.
 
-    A generator of evaluation requests: it yields ``(theta, merit)`` and the
-    caller sends back the raw scores (I(R:B), I(R:E)) at ``theta`` together
-    with the merit's gradient there, so each trial point costs one request,
-    and an accepted one needs no second.  ``merit`` maps the raw scores to
-    ``(value, d/dI(R:B), d/dI(R:E))``.  Directions come from the two-loop
-    recursion over the last ``LBFGS_PAIRS`` (s, y) pairs (Nocedal & Wright,
-    *Numerical Optimization*, 2006, alg. 7.4); with no pairs, or no descent,
-    the pairs are dropped and the step is ``-g`` scaled to length 0.3.  The
-    step is halved, at most 30 times, until the Armijo condition (c = 1e-4)
-    holds and the merit drops by more than ``MIN_DECREASE``.  Returns
-    ``(theta, scores, stationary)``, with the raw scores at the final
-    ``theta``; ``stationary`` is set when the gradient norm falls below
+    A generator of evaluation requests: it yields ``(x, merit)`` and the
+    caller sends back the raw scores (I(R:B), I(R:E)) at ``x`` together with
+    the merit's Riemannian gradient there, so each trial point costs one
+    request, and an accepted one needs no second.  ``merit`` maps the raw
+    scores to ``(value, d/dI(R:B), d/dI(R:E))``.  Directions come from the
+    two-loop recursion over the last ``LBFGS_PAIRS`` (s, y) pairs (Nocedal &
+    Wright, *Numerical Optimization*, 2006, alg. 7.4), taken as ambient
+    differences of points and of gradients, and are projected onto the
+    tangent space at ``x``; with no pairs, or no descent, the pairs are
+    dropped and the step is ``-g`` scaled to length 0.3.  A step of length
+    ``a`` along ``d`` goes to the retraction ``q_factor(x + a d)`` (Absil,
+    Mahony & Sepulchre, *Optimization Algorithms on Matrix Manifolds*, 2008,
+    sec. 4.1), and is halved, at most 30 times, until the Armijo condition
+    (c = 1e-4) holds and the merit drops by more than ``MIN_DECREASE``.
+    Returns ``(x, scores, stationary)``, with the raw scores at the final
+    ``x``; ``stationary`` is set when the gradient norm falls below
     ``GRAD_TOL``, when 30 halvings find no step that passes, or as soon as
     a step's first-order decrease ``a |slope|`` is at most ``MIN_DECREASE``,
     since from there on no trial can pass to first order.
     """
-    scores, g = yield theta, merit
+    scores, g = yield x, merit
     value = merit(*scores)[0]
     pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
     for _ in range(iters):
-        gn = float(np.linalg.norm(g))
+        gn = math.sqrt(_inner(g, g))
         if gn < GRAD_TOL:
-            return theta, scores, True
+            return x, scores, True
         d = -g
         alphas = []
         for s, y, rho in reversed(pairs):
-            alphas.append(rho * (s @ d))
+            alphas.append(rho * _inner(s, d))
             d = d - alphas[-1] * y
         if pairs:
             s, y, _ = pairs[-1]
-            d = d * ((s @ y) / (y @ y))
+            d = d * (_inner(s, y) / _inner(y, y))
         for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-            d = d + (alpha - rho * (y @ d)) * s
-        slope = float(g @ d)
+            d = d + (alpha - rho * _inner(y, d)) * s
+        d = _tangent(x, d)
+        slope = _inner(g, d)
         if not pairs or slope >= 0.0:
             pairs.clear()
             d = -g * (0.3 / gn)
@@ -439,47 +429,46 @@ def _lbfgs(merit, theta, iters):
         a = 1.0
         for _ in range(30):
             if -a * slope <= MIN_DECREASE:
-                return theta, scores, True
-            cand = theta + a * d
+                return x, scores, True
+            cand = qmat.q_factor(x + a * d)
             trial, g_new = yield cand, merit
             v = merit(*trial)[0]
             if v <= value + 1e-4 * a * slope and v < value - MIN_DECREASE:
                 break
             a *= 0.5
         else:
-            return theta, scores, True
-        s, y = cand - theta, g_new - g
-        sy = float(s @ y)
+            return x, scores, True
+        s, y = cand - x, g_new - g
+        sy = _inner(s, y)
         if sy > 0.0:
             pairs = pairs[-(LBFGS_PAIRS - 1) :] + [(s, y, 1.0 / sy)]
-        theta, scores, value, g = cand, trial, v, g_new
-    return theta, scores, False
+        x, scores, value, g = cand, trial, v, g_new
+    return x, scores, False
 
 
 def _measurement_start(basis: np.ndarray, d_a: int, d_b: int, d_e: int) -> np.ndarray | None:
-    """Parameters of an isometry that records a basis measurement in both outputs."""
+    """The isometry that records a basis measurement in both outputs."""
     if d_b < d_a or d_e < d_a:
         return None
-    n = d_b * d_e
-    v = np.zeros((n, d_a), dtype=complex)
+    v = np.zeros((d_b * d_e, d_a), dtype=complex)
     for m in range(d_a):
         v[m * d_e + m, :] = basis[:, m].conj()
-    u = isometries.complete_to_unitary(v)
-    return isometries.parameters_from_unitary(u)
+    return v
 
 
-def _warm_start(opts: OptimizerOptions, n: int) -> np.ndarray:
-    """Start of restart 0: a copy of ``opts.warm_theta`` if set, else zero."""
+def _warm_start(opts: OptimizerOptions, d_a: int, d_b: int, d_e: int) -> np.ndarray:
+    """Start of restart 0: a copy of ``opts.warm_theta`` if set, else the
+    first ``d_a`` columns of the identity.  Raises :class:`ValidationError`
+    unless the warm start is a ``(d_b*d_e, d_a)`` isometry matrix."""
     if opts.warm_theta is None:
-        return np.zeros(n * n)
-    theta = np.array(opts.warm_theta, dtype=float)
-    if theta.shape != (n * n,):
-        raise ValidationError(
-            f"warm start has shape {theta.shape}, expected ({n * n},)"
-        )
-    if not np.all(np.isfinite(theta)):
-        raise ValidationError("warm start has non-finite entries")
-    return theta
+        return np.eye(d_b * d_e, d_a, dtype=complex)
+    try:
+        x = np.array(opts.warm_theta, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"warm start is not a complex matrix: {exc}") from None
+    v = Isometry(x, DimSig((d_b, d_e), ("B", "E")), d_a)
+    isometries.validate_isometry(v)
+    return v.matrix
 
 
 def _constraints(m_b: float, m_e: float, eps: float, symmetric: bool):
@@ -519,13 +508,13 @@ def _lagrangian(
 
 
 def _solve_restart(
-    theta0: np.ndarray,
+    x0: np.ndarray,
     eps: float,
     opts: OptimizerOptions,
     symmetric: bool,
     stop_value: float,
 ):
-    """One restart from ``theta0``: L-BFGS rounds on an augmented Lagrangian.
+    """One restart from the isometry ``x0``: L-BFGS rounds on an augmented Lagrangian.
 
     Round ``k`` minimizes :func:`_lagrangian` at ``mu = 200 * 10**k`` and
     then updates each multiplier to ``max(0, lam + mu c)``.  Rounds get
@@ -543,12 +532,12 @@ def _solve_restart(
     lam = [0.0] * len(_constraints(0.0, 0.0, eps, symmetric))
     rounds, per_round = (8, opts.iterations // 40) if lam else (1, opts.iterations // 8)
     per_round = max(1, per_round)
-    theta = theta0
+    x = x0
     for k in range(rounds):
         mu = 200.0 * 10.0**k
         merit = partial(_lagrangian, eps=eps, lam=lam, mu=mu, symmetric=symmetric)
         iters = per_round if k < 5 else per_round // 2 + 1
-        theta, (m_b, m_e), converged = yield from _lbfgs(merit, theta, iters)
+        x, (m_b, m_e), converged = yield from _lbfgs(merit, x, iters)
         cons = _constraints(m_b, m_e, eps, symmetric)
         feasible = all(c <= FEASIBLE_TOL for c, _, _ in cons)
         at_bound = (max(m_b, m_e) if symmetric else m_b) <= stop_value + LOWER_BOUND_SLACK
@@ -559,7 +548,7 @@ def _solve_restart(
 
     if symmetric and m_e > m_b:
         m_b, m_e = m_e, m_b
-    return dict(theta=theta, i_rb=m_b, i_re=m_e, feasible=feasible, converged=converged)
+    return dict(x=x, i_rb=m_b, i_re=m_e, feasible=feasible, converged=converged)
 
 
 def _run_restarts(
@@ -588,7 +577,7 @@ def _run_restarts(
 
     results: dict[int, dict] = {}
     gens: dict[int, Generator] = {}
-    asks: dict[int, tuple] = {}  # each live restart's pending (theta, merit)
+    asks: dict[int, tuple] = {}  # each live restart's pending (x, merit)
     started, cutoff = 0, count
     while True:
         while started < cutoff and len(gens) < width:
@@ -624,17 +613,18 @@ def _search(
     """Run the restarts of one search over the candidates of ``scorer``.
 
     Restart ``idx`` starts from ``starts[idx]``; past the list, or where an
-    entry is None, it starts from a seeded random point.  Returns what
+    entry is None, it starts from the first columns of the Haar unitary
+    ``random_unitary(n, opts.seed + idx)``.  Returns what
     :func:`_run_restarts` returns.
     """
-    n = scorer.n
+    d_a = scorer.dims[1]
     symmetric = scorer.dims[2] == scorer.dims[3]
 
     def restart(idx: int):
-        theta0 = starts[idx] if idx < len(starts) else None
-        if theta0 is None:
-            theta0 = np.random.default_rng(opts.seed + idx).standard_normal(n * n) * 0.7
-        return _solve_restart(theta0, eps, opts, symmetric, stop_value)
+        x0 = starts[idx] if idx < len(starts) else None
+        if x0 is None:
+            x0 = random_unitary(scorer.n, opts.seed + idx)[:, :d_a]
+        return _solve_restart(x0, eps, opts, symmetric, stop_value)
 
     return _run_restarts(scorer, opts.restarts, restart, stop_value)
 
@@ -644,10 +634,12 @@ def optimize_xi(
 ) -> DecouplingOutcome:
     """Search the isometry family for the least kept correlations at privacy ``eps``.
 
-    Runs ``opts.restarts`` independent descents (structured starts first,
-    then seeded random ones), each minimizing the larger mutual information
-    subject to the smaller one staying below ``eps`` by rounds of L-BFGS on
-    an augmented Lagrangian, with a multiplier update after each round (see
+    Runs ``opts.restarts`` independent descents over ``d_b*d_e x d_a``
+    isometry matrices (from the warm start or the identity embedding, at
+    unbounded privacy also from the computational and the Fourier
+    measurement, then from seeded Haar ones), each minimizing the larger
+    mutual information subject to the smaller one staying below ``eps`` by
+    rounds of Riemannian L-BFGS on an augmented Lagrangian, with a multiplier update after each round (see
     :func:`_solve_restart`).  A restart is feasible when every constraint
     holds within ``FEASIBLE_TOL``.  Returns the best feasible candidate: the
     lowest restart index whose ``i_rb`` lies within ``TIE_TOL`` of the
@@ -672,11 +664,16 @@ def optimize_xi(
             f"output side {d_b}x{d_e} cannot accommodate input dimension {d_a}"
         )
     scorer = _Scorer(state.matrix, d_r, d_a, d_b, d_e)
-    starts = [
-        _warm_start(opts, d_b * d_e),
-        _measurement_start(np.eye(d_a, dtype=complex), d_a, d_b, d_e),
-        _measurement_start(isometries.fourier_basis(d_a), d_a, d_b, d_e),
-    ]
+    starts = [_warm_start(opts, d_a, d_b, d_e)]
+    # The merit and the retraction commute with swapping B and E, so a
+    # restart that starts on the swap-invariant measurement family stays on
+    # it, where I(R:E) = I(R:B); only at unbounded privacy can that be
+    # feasible.
+    if math.isinf(eps):
+        starts += [
+            _measurement_start(np.eye(d_a, dtype=complex), d_a, d_b, d_e),
+            _measurement_start(isometries.fourier_basis(d_a), d_a, d_b, d_e),
+        ]
     results = _search(scorer, eps, opts, prop1_lower(state, eps), starts)
     feasible = [r for r in results if r["feasible"]]
     if feasible:
@@ -686,7 +683,7 @@ def optimize_xi(
         best = min(results, key=lambda r: r["i_re"])
 
     return DecouplingOutcome(
-        theta=best["theta"],
+        theta=best["x"],
         i_rb=float(best["i_rb"]),
         i_re=float(best["i_re"]),
         epsilon=eps,
@@ -702,9 +699,10 @@ def optimize_xi(
 def povm_upper(state: DensityMatrix, opts: OptimizerOptions | None = None) -> float:
     """Least kept correlations over rank-one measurement isometries.
 
-    Parameterizes the measurement by a unitary on an ``m``-outcome space
-    (``opts.povm_elements``, default the acted dimension), embeds it in the
-    rows ``|k>_B (x) |k>_E`` of an ``m*m``-dimensional output, and runs the
+    Searches the ``m x d_a`` isometries (``m = opts.povm_elements``, default
+    the acted dimension) whose rows ``<k|`` are the measurement vectors,
+    embeds each in the rows ``|k>_B (x) |k>_E`` of an ``m*m``-dimensional
+    output, and runs the
     unbounded-privacy search of :func:`optimize_xi` over that sub-family,
     from the identity and the Fourier measurement, stopping at
     :func:`xi_infinity`.  Both outputs of a measurement isometry carry
@@ -720,7 +718,7 @@ def povm_upper(state: DensityMatrix, opts: OptimizerOptions | None = None) -> fl
             f"need at least {d_a} measurement outcomes, got {m}"
         )
     scorer = _Scorer(state.matrix, d_r, d_a, m, m, rows=np.arange(m) * m + np.arange(m))
-    starts = [np.zeros(m * m), isometries.parameters_from_unitary(isometries.fourier_basis(m))]
+    starts = [np.eye(m, d_a, dtype=complex), isometries.fourier_basis(m)[:, :d_a]]
     results = _search(scorer, UNBOUNDED, opts, xi_infinity(state), starts)
     return float(min(res["i_rb"] for res in results))
 

@@ -5,15 +5,14 @@ tensor product of a kept factor B and a discarded factor E; its matrix has
 ``d_B * d_E`` rows and ``in_dim`` columns, with B the most significant output
 factor.  The constructors here cover the closed-form splittings used
 throughout the package (twirls, basis shredders, measurement isometries,
-mixed-unitary dilations) plus a smooth parameterization suitable for
-numerical search.
+mixed-unitary dilations); numerical search works on the matrix itself (see
+:mod:`pqdec.decoupling`).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -25,14 +24,11 @@ __all__ = [
     "Isometry",
     "RankOnePovm",
     "bell_shredder",
-    "complete_to_unitary",
-    "from_parameters",
     "fourier_basis",
     "isometry_from_json",
     "isometry_to_json",
     "load_isometry",
     "mub_shredder",
-    "parameters_from_unitary",
     "pauli_twirl_isometry",
     "povm_isometry",
     "random_unitary_channel_dilation",
@@ -231,112 +227,6 @@ def povm_isometry(p: RankOnePovm, labels: tuple[str, str] = ("B", "E")) -> Isome
     iso = Isometry(m, _out_sig(n, n, labels), d)
     validate_isometry(iso)
     return iso
-
-
-def from_parameters(
-    theta: np.ndarray,
-    d_a: int,
-    d_b: int,
-    d_e: int,
-    labels: tuple[str, str] = ("B", "E"),
-) -> Isometry:
-    """Isometry from a real parameter vector of length ``(d_b * d_e)**2``.
-
-    The parameters fill a skew-Hermitian generator (first the imaginary
-    diagonal, then real/imaginary pairs for the strict upper triangle in
-    row-major order); the isometry is the first ``d_a`` columns of its
-    exponential.  ``theta = 0`` gives the first ``d_a`` columns of the
-    identity.
-    """
-    n = d_b * d_e
-    if d_a > n:
-        raise ValidationError(f"input dimension {d_a} exceeds output side {n}")
-    t = np.asarray(theta, dtype=float).reshape(-1)
-    if t.shape[0] != n * n:
-        raise ValidationError(
-            f"parameter vector has length {t.shape[0]}, expected {n * n}"
-        )
-    if not np.all(np.isfinite(t)):
-        raise ValidationError("parameter vector has non-finite entries")
-    g = _generator_from_parameters(t, n)
-    u = qmat.expm_skew(g)
-    return Isometry(u[:, :d_a], _out_sig(d_b, d_e, labels), d_a)
-
-
-@lru_cache(maxsize=None)
-def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only row and column indices of the strict upper triangle of an
-    ``n x n`` matrix, in row-major order; cached, since every search step
-    packs or unpacks parameters."""
-    rows, cols = np.triu_indices(n, k=1)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
-
-
-def _generator_from_parameters(t: np.ndarray, n: int) -> np.ndarray:
-    """Skew-Hermitian ``n x n`` generator of a parameter vector, or one per
-    vector along the last axis of a stack."""
-    g = np.zeros(t.shape[:-1] + (n, n), dtype=complex)
-    diag = np.arange(n)
-    g[..., diag, diag] = 1j * t[..., :n]
-    rows, cols = _upper(n)
-    x = t[..., n : n + rows.size]
-    y = t[..., n + rows.size :]
-    g[..., rows, cols] = x + 1j * y
-    g[..., cols, rows] = -x + 1j * y
-    return g
-
-
-def _parameters_from_generator(g: np.ndarray) -> np.ndarray:
-    """Parameter vector of a skew-Hermitian generator, or of each in a stack.
-
-    Inverse of :func:`_generator_from_parameters`: the imaginary diagonal,
-    then the real and the imaginary parts of the strict upper triangle in
-    row-major order.
-    """
-    rows, cols = _upper(g.shape[-1])
-    upper = g[..., rows, cols]
-    diag = np.diagonal(g, axis1=-2, axis2=-1)
-    return np.concatenate([diag.imag, upper.real, upper.imag], axis=-1)
-
-
-def parameters_from_unitary(u: np.ndarray) -> np.ndarray:
-    """Parameter vector whose generator exponentiates back to ``u``.
-
-    Inverse of the packing used by :func:`from_parameters`.  The generator is
-    the principal logarithm ``q diag(i phi) q^dag`` of the eigendecomposition
-    ``u = q diag(e^(i phi)) q^dag``, with eigenphases ``phi`` in [-pi, pi].
-    An eigenvalue -1 may get either sign of pi, even within one degenerate
-    eigenspace; every choice exponentiates back to ``u``.
-    """
-    m = np.asarray(u, dtype=complex)
-    _check_orthonormal(m, "matrix is not unitary: defect {defect:.3e}")
-    w, v = np.linalg.eig(m)
-    # eig may return a skewed basis of a degenerate eigenspace.  QR makes it
-    # orthonormal and keeps each column in its eigenspace, since the
-    # eigenspaces of a unitary are mutually orthogonal.
-    q, _ = np.linalg.qr(v)
-    g = (q * (1j * np.angle(w))) @ q.conj().T
-    return _parameters_from_generator(0.5 * (g - g.conj().T))
-
-
-def complete_to_unitary(v: np.ndarray) -> np.ndarray:
-    """Extend a matrix with orthonormal columns to a full unitary.
-
-    The first columns of the result are exactly ``v``; the remaining ones
-    span the orthogonal complement.
-    """
-    m = np.asarray(v, dtype=complex)
-    n, k = m.shape
-    _check_orthonormal(m, "columns are not orthonormal: defect {defect:.3e}")
-    if n == k:
-        return m.copy()
-    q, _ = np.linalg.qr(m, mode="complete")
-    rest = q[:, k:]
-    # Project out any residual overlap with the given columns.
-    rest = rest - m @ (m.conj().T @ rest)
-    rest, _ = np.linalg.qr(rest)
-    return np.concatenate([m, rest], axis=1)
 
 
 def random_unitary_channel_dilation(

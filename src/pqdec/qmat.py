@@ -26,11 +26,11 @@ __all__ = [
     "DimSig",
     "ValidationError",
     "eig_hermitian",
-    "expm_skew",
     "kron",
     "matrix_from_entries",
     "matrix_to_entries",
     "partial_trace",
+    "q_factor",
     "trace_distance",
     "validate_density",
 ]
@@ -170,23 +170,17 @@ def eig_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL):
     return w, u
 
 
-def expm_skew(g: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Exponential of a skew-Hermitian generator; the result is unitary.
+def q_factor(m: np.ndarray) -> np.ndarray:
+    """Q factor of the QR decomposition of ``m``, or of each matrix in a stack,
+    with its columns rephased so that the diagonal of R is real and positive.
 
-    Computed through the eigendecomposition of the Hermitian matrix ``1j * g``:
-    if ``1j*g = u diag(w) u^dag`` then ``exp(g) = u diag(exp(-1j*w)) u^dag``.
+    That phase choice makes the factor unique for a full-rank ``m``: it maps
+    a complex Gaussian matrix to a Haar unitary and retracts a point near the
+    set of matrices with orthonormal columns back onto it.
     """
-    a = _as_matrix(g)
-    if not np.all(np.isfinite(a)):
-        raise ValidationError("generator has non-finite entries")
-    defect = np.max(np.abs(a + a.conj().T)) if a.size else 0.0
-    if defect > tol:
-        raise ValidationError(
-            f"generator is not skew-Hermitian: max |g + g^dag| = {defect:.3e} "
-            f"exceeds {tol:.1e}"
-        )
-    w, u = np.linalg.eigh(1j * a)
-    return (u * np.exp(-1j * w)) @ u.conj().T
+    q, r = np.linalg.qr(m)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -84,16 +84,17 @@ def shredding_residue(weight_seed: int, state_seed: int) -> float:
 
 def conservation_defect(pairs: int, state_seed: int, theta_seed: int) -> float:
     """Largest ``|I(R:B) + I(R:E) - I(R:A)|`` over ``pairs`` random pure
-    inputs (seeds ``state_seed + k``) and isometries drawn from ``theta_seed``."""
+    inputs (seeds ``state_seed + k``) and random isometries, the first
+    columns of Haar unitaries (seeds ``theta_seed + k``)."""
     worst = 0.0
-    rng = np.random.default_rng(theta_seed)
     for k in range(pairs):
         d_r = 2 if k % 2 == 0 else 3
         d_a = 2 if k % 3 == 0 else 3
         rho = st.to_density(st.random_pure([d_r, d_a], state_seed + k, labels=("R", "A")))
         d_b, d_e = (d_a, d_a) if k % 2 == 0 else (2, d_a)
-        theta = rng.standard_normal((d_b * d_e) ** 2)
-        out = dec.apply_isometry(rho, iso.from_parameters(theta, d_a, d_b, d_e))
+        u = st.random_unitary(d_b * d_e, theta_seed + k)
+        v = iso.Isometry(u[:, :d_a], qmat.DimSig((d_b, d_e), ("B", "E")), d_a)
+        out = dec.apply_isometry(rho, v)
         i_ra = ent.mutual_information(rho, "R", "A")
         split = ent.mutual_information(out, "R", "B") + ent.mutual_information(out, "R", "E")
         worst = max(worst, abs(split - i_ra))

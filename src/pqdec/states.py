@@ -228,9 +228,7 @@ def random_pure(
 
 def random_unitary(d: int, seed: int) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    g = _ginibre(np.random.default_rng(seed), d, d)
-    q, r = np.linalg.qr(g)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    return qmat.q_factor(_ginibre(np.random.default_rng(seed), d, d))
 
 
 def random_separable(

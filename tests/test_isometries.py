@@ -9,13 +9,10 @@ from pqdec.isometries import (
     RankOnePovm,
     bell_basis,
     bell_shredder,
-    complete_to_unitary,
     fourier_basis,
-    from_parameters,
     isometry_from_json,
     isometry_to_json,
     mub_shredder,
-    parameters_from_unitary,
     pauli_twirl_isometry,
     povm_isometry,
     random_unitary_channel_dilation,
@@ -164,58 +161,6 @@ class TestPovmIsometry:
     def test_rejects_non_finite_vectors(self):
         with pytest.raises(ValidationError):
             RankOnePovm((np.array([np.nan, 0.0]), np.array([0.0, 1.0])))
-
-
-class TestParameterization:
-    def test_zero_parameters_give_identity_embedding(self):
-        v = from_parameters(np.zeros(16), 2, 2, 2)
-        assert np.array_equal(v.matrix, np.eye(4, dtype=complex)[:, :2])
-
-    def test_random_parameters_give_isometries(self):
-        rng = np.random.default_rng(17)
-        for d_a, d_b, d_e in ((2, 2, 2), (3, 3, 3), (4, 2, 4), (2, 2, 1)):
-            theta = rng.standard_normal((d_b * d_e) ** 2)
-            v = from_parameters(theta, d_a, d_b, d_e)
-            assert v.matrix.shape == (d_b * d_e, d_a)
-            assert isometry_defect(v) <= 1e-10
-
-    def test_round_trip_through_unitary(self):
-        for seed in range(4):
-            w = random_unitary(4, seed)
-            # A degenerate eigenvalue -1 sits on the branch cut of the log.
-            on_cut = [w @ np.diag(d) @ w.conj().T for d in ([-1, -1, -1, 1j], [-1, -1, 1, 1])]
-            for u in [w] + on_cut:
-                theta = parameters_from_unitary(u)
-                v = from_parameters(theta, 4, 2, 2)
-                assert np.max(np.abs(v.matrix - u)) <= 1e-9
-
-    def test_parameter_length_checked(self):
-        with pytest.raises(ValidationError):
-            from_parameters(np.zeros(15), 2, 2, 2)
-        with pytest.raises(ValidationError):
-            from_parameters(np.zeros(16), 5, 2, 2)
-        with pytest.raises(ValidationError):
-            parameters_from_unitary(np.ones((2, 2)))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_parameters_rejected(self, bad):
-        with pytest.raises(ValidationError):
-            from_parameters(np.full(16, bad), 2, 2, 2)
-
-
-class TestCompleteToUnitary:
-    def test_first_columns_preserved(self):
-        rng = np.random.default_rng(23)
-        for n, k in ((4, 2), (6, 3), (3, 3)):
-            g = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-            q, _ = np.linalg.qr(g)
-            u = complete_to_unitary(q)
-            assert np.array_equal(u[:, :k], q)
-            assert np.max(np.abs(u.conj().T @ u - np.eye(n))) <= 1e-10
-
-    def test_rejects_non_orthonormal(self):
-        with pytest.raises(ValidationError):
-            complete_to_unitary(np.ones((3, 2)))
 
 
 class TestRandomUnitaryDilation:

@@ -5,9 +5,9 @@ from pqdec.qmat import (
     DimSig,
     ValidationError,
     eig_hermitian,
-    expm_skew,
     kron,
     partial_trace,
+    q_factor,
     trace_distance,
     validate_density,
 )
@@ -166,40 +166,6 @@ class TestEigHermitian:
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-class TestExpmSkew:
-    def test_matches_taylor_series(self):
-        rng = np.random.default_rng(21)
-        for n in (2, 3, 4):
-            g = random_complex(rng, (n, n))
-            g = 0.1 * (g - g.conj().T)
-            series = np.zeros((n, n), dtype=complex)
-            term = np.eye(n, dtype=complex)
-            for k in range(1, 30):
-                series += term
-                term = term @ g / k
-            assert np.max(np.abs(expm_skew(g) - series)) <= 1e-12
-
-    def test_result_is_unitary(self):
-        rng = np.random.default_rng(22)
-        for n in (2, 5):
-            g = random_complex(rng, (n, n))
-            g = g - g.conj().T
-            u = expm_skew(g)
-            assert np.max(np.abs(u.conj().T @ u - np.eye(n))) <= 1e-10
-
-    def test_zero_generator(self):
-        assert np.allclose(expm_skew(np.zeros((3, 3))), np.eye(3), atol=1e-14)
-
-    def test_rejects_non_skew(self):
-        with pytest.raises(ValidationError):
-            expm_skew(np.eye(2))
-
-    def test_rejects_non_finite(self):
-        # NaN passes the skew-Hermitian defect test, since NaN > tol is False.
-        with pytest.raises(ValidationError):
-            expm_skew(np.full((2, 2), np.nan))
-
-
 class TestTraceDistance:
     def test_classical_formula(self):
         # On commuting diagonal states the trace distance is half the l1
@@ -260,3 +226,26 @@ class TestValidateDensity:
             for tol in (np.nan, np.inf, -np.inf, -1e-9):
                 with pytest.raises(ValidationError):
                     validate_density(m.astype(complex), tol)
+
+
+class TestQFactor:
+    def test_orthonormal_with_positive_r_diagonal(self):
+        rng = np.random.default_rng(24)
+        for n, k in ((4, 2), (3, 3), (9, 3)):
+            m = random_complex(rng, (n, k))
+            q = q_factor(m)
+            assert np.max(np.abs(q.conj().T @ q - np.eye(k))) <= 1e-12
+            r = q.conj().T @ m
+            assert np.max(np.abs(np.tril(r, -1))) <= 1e-12
+            assert np.max(np.abs(np.diagonal(r).imag)) <= 1e-12
+            assert np.all(np.diagonal(r).real > 0.0)
+
+    def test_fixes_an_isometry(self):
+        q = q_factor(random_complex(np.random.default_rng(25), (6, 2)))
+        assert np.max(np.abs(q_factor(q) - q)) <= 1e-12
+
+    def test_stack_matches_each_matrix_alone(self):
+        ms = random_complex(np.random.default_rng(26), (3, 5, 2))
+        stacked = q_factor(ms)
+        for m, q in zip(ms, stacked):
+            assert q.tobytes() == q_factor(m).tobytes()
