@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,10 @@ from .isometries import isometry_to_json, save_isometry
 from .qmat import ValidationError
 
 __all__ = ["build_parser", "main"]
+
+
+# The BoundsReport fields, in order: the keys of `bounds` and columns of `random-study`.
+_BOUNDS_FIELDS = tuple(f.name for f in fields(dec.BoundsReport))
 
 
 def _round12(x: float) -> float:
@@ -161,14 +166,7 @@ def _cmd_qmi(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     state = _load(args)
     report = dec.bounds_report(state, args.eps, _opts(args))
-    payload = {
-        "qmi": _round12(report.qmi),
-        "ic_a_to_r": _round12(report.ic_a_to_r),
-        "prop1_lower": _round12(report.prop1_lower),
-        "half_qmi_upper": _round12(report.half_qmi_upper),
-        "povm_upper": _round12(report.povm_upper),
-        "xi_infinity": _round12(report.xi_infinity),
-    }
+    payload = {name: _round12(getattr(report, name)) for name in _BOUNDS_FIELDS}
     _emit(json.dumps(payload, indent=2), args.out)
     return 0
 
@@ -214,17 +212,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_random_study(args: argparse.Namespace) -> int:
-    lines = [
-        "sample,seed,qmi,ic_a_to_r,prop1_lower,half_qmi_upper,povm_upper,"
-        "xi_infinity,xi_estimate,feasible,lower_ok,upper_ok"
-    ]
+    header = ["sample", "seed", *_BOUNDS_FIELDS, "xi_estimate", "feasible", "lower_ok", "upper_ok"]
+    lines = [",".join(header)]
     rows = scn.bound_sandwich(args.dims, args.samples, args.seed, args.restarts, args.iterations)
     for k, row in enumerate(rows):
-        b = row.bounds
-        values = [b.qmi, b.ic_a_to_r, b.prop1_lower, b.half_qmi_upper, b.povm_upper, b.xi_infinity]
+        values = [getattr(row.bounds, name) for name in _BOUNDS_FIELDS]
         flags = [row.outcome.feasible, row.lower_ok, row.upper_ok]
-        fields = [str(k), str(row.seed), *map(_fmt, values + [row.outcome.i_rb])]
-        lines.append(",".join(fields + [str(bool(f)).lower() for f in flags]))
+        cells = [str(k), str(row.seed), *map(_fmt, values + [row.outcome.i_rb])]
+        lines.append(",".join(cells + [str(bool(f)).lower() for f in flags]))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

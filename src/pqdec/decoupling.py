@@ -25,7 +25,7 @@ import csv
 import io
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import Callable, Generator, Sequence
 
@@ -108,22 +108,27 @@ def apply_isometry(state: DensityMatrix, v: Isometry) -> DensityMatrix:
         raise ValidationError(
             f"reference label {r!r} collides with output labels {v.out_sig.labels}"
         )
-    out = _conjugate(state.matrix, d_r, d_a, v.matrix)
+    _, out = _conjugate(state.matrix, d_r, d_a, v.matrix)
     sig = DimSig((d_r,) + v.out_sig.dims, (r,) + v.out_sig.labels)
     return as_density(out.reshape(sig.side, sig.side), sig)
 
 
-def _conjugate(rho: np.ndarray, d_r: int, d_a: int, w: np.ndarray) -> np.ndarray:
+def _conjugate(
+    rho: np.ndarray, d_r: int, d_a: int, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """(1 (x) w) rho (1 (x) w)^dag without forming the Kronecker factor.
 
-    ``w`` is one ``n x d_a`` isometry matrix or a stack of them; the result
-    has shape ``(..., d_r, n, d_r, n)``.
+    ``w`` is one ``n x d_a`` isometry matrix or a stack of them.  Returns
+    ``(y, t)``: the half product ``y = (1 (x) w) rho``, of shape
+    ``(..., d_r, n, d_r * d_a)``, and the conjugated state
+    ``t = y (1 (x) w)^dag``, of shape ``(..., d_r, n, d_r, n)``.
+    :meth:`_Scorer.evaluate` scores ``t`` and takes its gradient from ``y``.
     """
     stack = w.shape[:-2]
     n = w.shape[-2]
-    x = w[..., None, :, :] @ rho.reshape(d_r, d_a, d_r * d_a)   # (r, o, (r', b))
-    y = x.reshape(stack + (d_r * n * d_r, d_a)) @ w.conj().swapaxes(-1, -2)
-    return y.reshape(stack + (d_r, n, d_r, n))                   # (r, o, r', p)
+    y = w[..., None, :, :] @ rho.reshape(d_r, d_a, d_r * d_a)   # (r, o, (r', b))
+    t = y.reshape(stack + (d_r * n * d_r, d_a)) @ w.conj().swapaxes(-1, -2)
+    return y, t.reshape(stack + (d_r, n, d_r, n))                # (r, o, r', p)
 
 
 def decoupling_scores(state: DensityMatrix) -> tuple[float, float, bool]:
@@ -311,6 +316,10 @@ class _Scorer:
         The gradient is the Euclidean one for the inner product
         ``Re tr(a^dag b)``, projected onto the tangent space at ``x[k]``
         (see :func:`_tangent`).
+        The state goes through one product per candidate: the half product
+        ``(1 (x) x) rho`` of :func:`_conjugate` gives the conjugated state
+        for the scores and, contracted on its R-B and its R-E axes, the
+        gradient, with no operator on the whole of R (x) B (x) E formed.
         One eigendecomposition per marginal gives both its entropy and the
         entropy's derivative.  Each entropy is differentiated as
         :func:`spectrum_entropy` computes it, on the support of its marginal
@@ -327,7 +336,8 @@ class _Scorer:
         if self.rows is not None:
             iso = np.zeros((k, side, d_a), dtype=complex)
             iso[:, self.rows, :] = x
-        t = _conjugate(self.rho, d_r, d_a, iso).reshape(k, d_r, d_b, d_e, d_r, d_b, d_e)
+        y, t = _conjugate(self.rho, d_r, d_a, iso)
+        t = t.reshape(k, d_r, d_b, d_e, d_r, d_b, d_e)
         t_rb = np.trace(t, axis1=3, axis2=6)
         t_re = np.trace(t, axis1=2, axis2=5)
         s_rb, k_rb = _entropy_derivative(t_rb.reshape(k, d_r * d_b, d_r * d_b))
@@ -337,19 +347,20 @@ class _Scorer:
         scores = np.stack([self.s_r + s_b - s_rb, self.s_r + s_e - s_re], axis=-1)
         c = np.array([merit(b, e)[1:] for merit, (b, e) in zip(merits, scores.tolist())])
         c_b, c_e = c.T.reshape(2, k, 1, 1, 1, 1)
-        # dI(R:B) = tr(dt_b k_b) - tr(dt_rb k_rb); lifted to R(x)B(x)E the
-        # two terms act as 1_R (x) k_b (x) 1_E and k_rb (x) 1_E.
+        # dI(R:B) = tr(dt_b k_b) - tr(dt_rb k_rb); on R (x) B the two terms
+        # act as 1_R (x) k_b and k_rb.
         eye_r = np.eye(d_r)[:, None, :, None]
         a_rb = c_b * (eye_r * k_b[:, None, :, None, :] - k_rb.reshape(k, d_r, d_b, d_r, d_b))
         a_re = c_e * (eye_r * k_e[:, None, :, None, :] - k_re.reshape(k, d_r, d_e, d_r, d_e))
-        lifted = (
-            a_rb[:, :, :, None, :, :, None] * np.eye(d_e)[:, None, None, :]
-            + a_re[:, :, None, :, :, None, :] * np.eye(d_b)[:, None, None, :, None]
-        )
         # d tr(A t) = 2 Re tr(A (1 (x) dw) rho (1 (x) w)^dag) for Hermitian A,
-        # so the Euclidean gradient in w is z = 2 tr_R(A (1 (x) w) rho).
-        q = lifted.reshape(k, d_r * side * d_r, side) @ iso
-        q = q.reshape(k, d_r * side, d_r * d_a) @ self.rho
+        # so the Euclidean gradient in w is z = 2 tr_R(A y).  Here
+        # A = a_rb (x) 1_E + a_re (x) 1_B, and each term contracts only its
+        # own axes of y: R and B, or R and E with B and E swapped.
+        cols = d_r * d_a
+        q_b = a_rb.reshape(k, d_r * d_b, d_r * d_b) @ y.reshape(k, d_r * d_b, d_e * cols)
+        y_e = y.reshape(k, d_r, d_b, d_e, cols).swapaxes(2, 3).reshape(k, d_r * d_e, d_b * cols)
+        q_e = a_re.reshape(k, d_r * d_e, d_r * d_e) @ y_e
+        q = q_b.reshape(k, d_r, d_b, d_e, cols) + q_e.reshape(k, d_r, d_e, d_b, cols).swapaxes(2, 3)
         z = 2.0 * np.trace(q.reshape(k, d_r, side, d_r, d_a), axis1=1, axis2=3)
         return scores, _tangent(x, z if self.rows is None else z[:, self.rows, :])
 
@@ -553,35 +564,39 @@ def _solve_restart(
 
 def _run_restarts(
     scorer: _Scorer,
-    count: int,
-    restart: Callable[[int], Generator],
+    eps: float,
+    opts: OptimizerOptions,
     stop_value: float,
+    starts: Sequence[np.ndarray | None],
     width: int = LOCKSTEP_WIDTH,
 ):
-    """Run restarts in lockstep and keep those up to the first that hits ``stop_value``.
+    """Run the ``opts.restarts`` restarts of one search over the candidates of
+    ``scorer`` in lockstep, and keep those up to the first that hits ``stop_value``.
 
-    ``restart(idx)`` makes restart ``idx`` as a generator of the requests of
-    :func:`_lbfgs`.  Up to ``width`` restarts are live at once, started in
-    index order; each round answers every live restart's pending request
-    with one :meth:`_Scorer.evaluate` call, which returns the scores and the
-    merit gradients of the whole stack at once.  A finished restart that is
-    feasible and within ``RESTART_STOP_SLACK`` of ``stop_value`` drops every
-    restart above it, running or not yet started, so the considered set is
-    the one a serial run would stop at.  Each candidate scores the same in
-    any stack, so the results do not depend on ``width`` either.  Returns
-    the considered results, in restart order.
+    Restart ``idx`` is :func:`_solve_restart` from ``starts[idx]``; past the
+    list, or where an entry is None, it starts from the first columns of the
+    Haar unitary ``random_unitary(n, opts.seed + idx)``.  Up to ``width``
+    restarts are live at once, started in index order; each round answers
+    every live restart's pending request with one :meth:`_Scorer.evaluate`
+    call, which returns the scores and the merit gradients of the whole
+    stack at once.  A finished restart that is feasible and within
+    ``RESTART_STOP_SLACK`` of ``stop_value`` drops every restart above it,
+    running or not yet started, so the considered set is the one a serial
+    run would stop at.  Each candidate scores the same in any stack, so the
+    results do not depend on ``width`` either.  Returns the considered
+    results, in restart order.
     """
-
-    def meets(res):
-        return res["feasible"] and res["i_rb"] <= stop_value + RESTART_STOP_SLACK
-
+    _, d_a, d_b, d_e = scorer.dims
     results: dict[int, dict] = {}
     gens: dict[int, Generator] = {}
     asks: dict[int, tuple] = {}  # each live restart's pending (x, merit)
-    started, cutoff = 0, count
+    started, cutoff = 0, opts.restarts
     while True:
         while started < cutoff and len(gens) < width:
-            gens[started] = restart(started)
+            x0 = starts[started] if started < len(starts) else None
+            if x0 is None:
+                x0 = random_unitary(scorer.n, opts.seed + started)[:, :d_a]
+            gens[started] = _solve_restart(x0, eps, opts, d_b == d_e, stop_value)
             asks[started] = next(gens[started])
             started += 1
         if not gens:
@@ -595,38 +610,12 @@ def _run_restarts(
                 asks[i] = gens[i].send((row, grad))
             except StopIteration as done:
                 del gens[i], asks[i]
-                results[i] = done.value
-                if meets(done.value):
+                results[i] = res = done.value
+                if res["feasible"] and res["i_rb"] <= stop_value + RESTART_STOP_SLACK:
                     cutoff = min(cutoff, i + 1)
         for i in [i for i in gens if i >= cutoff]:
             del gens[i], asks[i]
     return [results[i] for i in range(cutoff)]
-
-
-def _search(
-    scorer: _Scorer,
-    eps: float,
-    opts: OptimizerOptions,
-    stop_value: float,
-    starts: Sequence[np.ndarray | None],
-):
-    """Run the restarts of one search over the candidates of ``scorer``.
-
-    Restart ``idx`` starts from ``starts[idx]``; past the list, or where an
-    entry is None, it starts from the first columns of the Haar unitary
-    ``random_unitary(n, opts.seed + idx)``.  Returns what
-    :func:`_run_restarts` returns.
-    """
-    d_a = scorer.dims[1]
-    symmetric = scorer.dims[2] == scorer.dims[3]
-
-    def restart(idx: int):
-        x0 = starts[idx] if idx < len(starts) else None
-        if x0 is None:
-            x0 = random_unitary(scorer.n, opts.seed + idx)[:, :d_a]
-        return _solve_restart(x0, eps, opts, symmetric, stop_value)
-
-    return _run_restarts(scorer, opts.restarts, restart, stop_value)
 
 
 def optimize_xi(
@@ -674,7 +663,7 @@ def optimize_xi(
             _measurement_start(np.eye(d_a, dtype=complex), d_a, d_b, d_e),
             _measurement_start(isometries.fourier_basis(d_a), d_a, d_b, d_e),
         ]
-    results = _search(scorer, eps, opts, prop1_lower(state, eps), starts)
+    results = _run_restarts(scorer, eps, opts, prop1_lower(state, eps), starts)
     feasible = [r for r in results if r["feasible"]]
     if feasible:
         least = min(r["i_rb"] for r in feasible)
@@ -719,7 +708,7 @@ def povm_upper(state: DensityMatrix, opts: OptimizerOptions | None = None) -> fl
         )
     scorer = _Scorer(state.matrix, d_r, d_a, m, m, rows=np.arange(m) * m + np.arange(m))
     starts = [np.eye(m, d_a, dtype=complex), isometries.fourier_basis(m)[:, :d_a]]
-    results = _search(scorer, UNBOUNDED, opts, xi_infinity(state), starts)
+    results = _run_restarts(scorer, UNBOUNDED, opts, xi_infinity(state), starts)
     return float(min(res["i_rb"] for res in results))
 
 
@@ -782,43 +771,24 @@ class SweepRow:
 class SweepResult:
     rows: tuple[SweepRow, ...]
 
-    CSV_COLUMNS = (
-        "eps",
-        "xi_raw",
-        "xi_envelope",
-        "i_rb",
-        "i_re",
-        "prop1_lower",
-        "half_qmi_upper",
-        "feasible",
-        "restarts_used",
-        "converged",
-    )
-
     def to_csv(self) -> str:
+        """A header of the :class:`SweepRow` field names, then one line per row."""
+        columns = fields(SweepRow)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.CSV_COLUMNS)
+        writer.writerow(f.name for f in columns)
         for row in self.rows:
-            writer.writerow(
-                [
-                    _fmt(row.eps),
-                    _fmt(row.xi_raw),
-                    _fmt(row.xi_envelope),
-                    _fmt(row.i_rb),
-                    _fmt(row.i_re),
-                    _fmt(row.prop1_lower),
-                    _fmt(row.half_qmi_upper),
-                    str(bool(row.feasible)).lower(),
-                    str(int(row.restarts_used)),
-                    str(bool(row.converged)).lower(),
-                ]
-            )
+            writer.writerow(_CELL[f.type](getattr(row, f.name)) for f in columns)
         return buf.getvalue()
 
 
 def _fmt(x: float) -> str:
     return "inf" if math.isinf(x) else format(float(x), ".12g")
+
+
+# How a sweep CSV writes each SweepRow field, by its annotation (a string here,
+# since annotations are postponed).
+_CELL = {"float": _fmt, "bool": lambda v: str(bool(v)).lower(), "int": lambda v: str(int(v))}
 
 
 def rates_sweep(

@@ -1,6 +1,12 @@
-import pytest
+import os
 
-from pqdec import decoupling as dec
+# One BLAS thread, as in CI: idle OpenBLAS workers that wake mid-test can push
+# a wall-clock-capped acceptance test past its cap.  Set before numpy loads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import pytest  # noqa: E402
+
+from pqdec import decoupling as dec  # noqa: E402
 
 
 @pytest.fixture

@@ -567,6 +567,21 @@ class TestExactGradient:
             _, f, grad = penalized_problem(rho, 2, 3, eps, lam, mu)
             self.assert_matches(f, grad, x)
 
+    @pytest.mark.parametrize(
+        "d_r, d_a, d_b, d_e, eps, lam",
+        [(3, 2, 4, 5, 0.01, [0.3, 0.5]), (4, 4, 4, 4, UNBOUNDED, [])],
+    )
+    def test_distinct_factor_dimensions(self, d_r, d_a, d_b, d_e, eps, lam):
+        # Four distinct dimensions, so a transposed R trace or a B/E axis mix-up
+        # in the gradient changes its shape or its value; and a d_a = 4 case the
+        # size of two copies of a qubit state.
+        rho = random_density(d_r * d_a, d_r * d_a, 94 + d_b, labels=("R", "A"), dims=(d_r, d_a))
+        x = random_point(d_b * d_e, d_a, 7)
+        scorer, f, grad = penalized_problem(rho, d_b, d_e, eps, lam, 2000.0)
+        if lam:
+            assert raw_scores(scorer, x[None])[0][1] > eps  # the eps constraint is active
+        self.assert_matches(f, grad, x)
+
     def test_measurement_objective(self):
         # The computational measurement, a random two-outcome one and a
         # random three-outcome one.
