@@ -9,9 +9,9 @@ provides the closed-form bounds on that minimum, a multistart optimizer
 that searches the isometry family directly (each restart runs rounds of
 L-BFGS on the exact gradient of an augmented Lagrangian, updating the
 constraint multipliers between rounds, and the restarts advance in
-lockstep, each round one batched call that returns the scores and the
-gradient at every restart's trial point), a
-measurement-isometry variant, and a sweep of the trade-off curve over a grid
+lockstep, each round one batched call that retracts every restart's trial
+point and returns its scores and their gradients), a measurement-isometry
+variant, and a sweep of the trade-off curve over a grid
 of privacy levels.
 
 The unbounded privacy level is ``float("inf")`` (spelled ``inf`` on the
@@ -27,7 +27,7 @@ import math
 import numbers
 from dataclasses import dataclass, fields, replace
 from functools import partial
-from typing import Callable, Generator, Sequence
+from typing import Generator, Sequence
 
 import numpy as np
 
@@ -41,11 +41,9 @@ UNBOUNDED = float("inf")
 # Constraint violation a candidate may carry and still count as feasible.
 FEASIBLE_TOL = 1e-6
 # A feasible restart whose kept share is this close to the lower bound cannot
-# usefully improve, so it skips its remaining rounds.
+# usefully improve: it skips its remaining rounds, and the restarts after it
+# are dropped.
 LOWER_BOUND_SLACK = 2.5e-7
-# _run_restarts stops at the first feasible restart this close to the lower
-# bound; looser than LOWER_BOUND_SLACK so a restart that stopped early counts.
-RESTART_STOP_SLACK = 5e-7
 # Restarts live at once in _run_restarts, so memory does not grow with their count.
 LOCKSTEP_WIDTH = 32
 # Smallest decrease accepted as progress; below it a move is rounding noise.
@@ -278,16 +276,16 @@ def outcome_isometry(outcome: DecouplingOutcome) -> Isometry:
 
 
 class _Scorer:
-    """Raw mutual-information scores, and the Riemannian gradients of merits
-    of them, for a stack of isometries, in one call (:meth:`evaluate`).
+    """Retraction, raw mutual-information scores and their Riemannian
+    gradients for a stack of points, in one call (:meth:`evaluate`).
 
-    Entry ``k`` of a ``(K, n, d_a)`` stack ``x`` is an ``n x d_a`` matrix
-    with orthonormal columns, a point of the Stiefel manifold: the isometry
-    itself, with ``n = d_b*d_e``, or, with ``rows`` given, ``n = len(rows)``
-    and its rows are embedded in the listed rows of a ``d_b*d_e x d_a``
-    matrix (the measurement family of :func:`povm_upper`).  Every step works
-    on the whole stack at once, and each candidate's result is the same, bit
-    for bit, whatever else shares its stack.
+    Entry ``k`` of a ``(K, n, d_a)`` stack is an ``n x d_a`` matrix whose Q
+    factor is a point of the Stiefel manifold (orthonormal columns): the
+    isometry itself, with ``n = d_b*d_e``, or, with ``rows`` given,
+    ``n = len(rows)`` and its rows are embedded in the listed rows of a
+    ``d_b*d_e x d_a`` matrix (the measurement family of :func:`povm_upper`).
+    Every step works on the whole stack at once, and each candidate's result
+    is the same, bit for bit, whatever else shares its stack.
     """
 
     def __init__(
@@ -306,20 +304,20 @@ class _Scorer:
         rho_r = np.trace(rho.reshape(d_r, d_a, d_r, d_a), axis1=1, axis2=3)
         self.s_r = spectrum_entropy(np.linalg.eigvalsh(rho_r))
 
-    def evaluate(self, x: np.ndarray, merits: Sequence[Callable]):
-        """Raw scores of a stack, and the gradient of each candidate's merit.
+    def evaluate(self, p: np.ndarray):
+        """Retract a stack of points, score it and differentiate both scores.
 
-        Returns ``(scores, grads)``: ``scores[k]`` holds the raw (I(R:B),
-        I(R:E)) of candidate ``k``, and ``grads[k]`` the Riemannian gradient
-        at ``x[k]`` of ``merits[k](I(R:B), I(R:E))[0]``, where each merit
-        maps its candidate's raw scores to ``(value, d/dI(R:B), d/dI(R:E))``.
-        The gradient is the Euclidean one for the inner product
-        ``Re tr(a^dag b)``, projected onto the tangent space at ``x[k]``
-        (see :func:`_tangent`).
+        ``p`` holds bare points: starts, or trial points ``x + a d`` off the
+        manifold.  Returns ``(x, scores, grads)``: ``x = q_factor(p)``, the
+        whole stack retracted in one call; ``scores[k]`` the raw (I(R:B),
+        I(R:E)) at ``x[k]``; and ``grads[k]``, of shape ``(2, n, d_a)``, the
+        Riemannian gradients there of I(R:B) and of I(R:E).  Each is the
+        Euclidean gradient for the inner product ``Re tr(a^dag b)``,
+        projected onto the tangent space at ``x[k]`` (see :func:`_tangent`).
         The state goes through one product per candidate: the half product
         ``(1 (x) x) rho`` of :func:`_conjugate` gives the conjugated state
-        for the scores and, contracted on its R-B and its R-E axes, the
-        gradient, with no operator on the whole of R (x) B (x) E formed.
+        for the scores and, contracted on its R-B and its R-E axes, the two
+        gradients, with no operator on the whole of R (x) B (x) E formed.
         One eigendecomposition per marginal gives both its entropy and the
         entropy's derivative.  Each entropy is differentiated as
         :func:`spectrum_entropy` computes it, on the support of its marginal
@@ -330,6 +328,7 @@ class _Scorer:
         diverges.
         """
         d_r, d_a, d_b, d_e = self.dims
+        x = qmat.q_factor(p)
         k = len(x)
         side = d_b * d_e
         iso = x
@@ -345,24 +344,22 @@ class _Scorer:
         s_b, k_b = _entropy_derivative(np.trace(t_rb, axis1=1, axis2=3))
         s_e, k_e = _entropy_derivative(np.trace(t_re, axis1=1, axis2=3))
         scores = np.stack([self.s_r + s_b - s_rb, self.s_r + s_e - s_re], axis=-1)
-        c = np.array([merit(b, e)[1:] for merit, (b, e) in zip(merits, scores.tolist())])
-        c_b, c_e = c.T.reshape(2, k, 1, 1, 1, 1)
         # dI(R:B) = tr(dt_b k_b) - tr(dt_rb k_rb); on R (x) B the two terms
         # act as 1_R (x) k_b and k_rb.
         eye_r = np.eye(d_r)[:, None, :, None]
-        a_rb = c_b * (eye_r * k_b[:, None, :, None, :] - k_rb.reshape(k, d_r, d_b, d_r, d_b))
-        a_re = c_e * (eye_r * k_e[:, None, :, None, :] - k_re.reshape(k, d_r, d_e, d_r, d_e))
+        a_rb = eye_r * k_b[:, None, :, None, :] - k_rb.reshape(k, d_r, d_b, d_r, d_b)
+        a_re = eye_r * k_e[:, None, :, None, :] - k_re.reshape(k, d_r, d_e, d_r, d_e)
         # d tr(A t) = 2 Re tr(A (1 (x) dw) rho (1 (x) w)^dag) for Hermitian A,
-        # so the Euclidean gradient in w is z = 2 tr_R(A y).  Here
-        # A = a_rb (x) 1_E + a_re (x) 1_B, and each term contracts only its
-        # own axes of y: R and B, or R and E with B and E swapped.
+        # so the Euclidean gradient in w is z = 2 tr_R(A y): A = a_rb (x) 1_E
+        # for I(R:B) and A = a_re (x) 1_B for I(R:E), each contracting only
+        # its own axes of y, R and B, or R and E with B and E swapped.
         cols = d_r * d_a
         q_b = a_rb.reshape(k, d_r * d_b, d_r * d_b) @ y.reshape(k, d_r * d_b, d_e * cols)
         y_e = y.reshape(k, d_r, d_b, d_e, cols).swapaxes(2, 3).reshape(k, d_r * d_e, d_b * cols)
-        q_e = a_re.reshape(k, d_r * d_e, d_r * d_e) @ y_e
-        q = q_b.reshape(k, d_r, d_b, d_e, cols) + q_e.reshape(k, d_r, d_e, d_b, cols).swapaxes(2, 3)
-        z = 2.0 * np.trace(q.reshape(k, d_r, side, d_r, d_a), axis1=1, axis2=3)
-        return scores, _tangent(x, z if self.rows is None else z[:, self.rows, :])
+        q_e = (a_re.reshape(k, d_r * d_e, d_r * d_e) @ y_e).reshape(k, d_r, d_e, d_b, cols)
+        q = np.stack([q_b.reshape(k, d_r, d_b, d_e, cols), q_e.swapaxes(2, 3)], axis=1)
+        z = 2.0 * np.trace(q.reshape(k, 2, d_r, side, d_r, d_a), axis1=2, axis2=4)
+        return x, scores, _tangent(x[:, None], z if self.rows is None else z[:, :, self.rows, :])
 
 
 def _entropy_derivative(sigma: np.ndarray):
@@ -390,17 +387,19 @@ def _inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a, b).real)
 
 
-def _lbfgs(merit, x, iters):
-    """Riemannian limited-memory BFGS on ``merit`` from the isometry ``x``,
-    at most ``iters`` iterations.
+def _lbfgs(merit, p, iters):
+    """Riemannian limited-memory BFGS on ``merit`` from the point ``p``, at
+    most ``iters`` iterations.
 
-    A generator of evaluation requests: it yields ``(x, merit)`` and the
-    caller sends back the raw scores (I(R:B), I(R:E)) at ``x`` together with
-    the merit's Riemannian gradient there, so each trial point costs one
-    request, and an accepted one needs no second.  ``merit`` maps the raw
-    scores to ``(value, d/dI(R:B), d/dI(R:E))``.  Directions come from the
-    two-loop recursion over the last ``LBFGS_PAIRS`` (s, y) pairs (Nocedal &
-    Wright, *Numerical Optimization*, 2006, alg. 7.4), taken as ambient
+    A generator of evaluation requests: it yields a bare point, its start
+    ``p`` or a trial point ``x + a d``, and the caller sends back what
+    :meth:`_Scorer.evaluate` returns for it, so each trial point costs one
+    request.  ``merit`` maps the raw scores (I(R:B), I(R:E)) to ``(value,
+    d/dI(R:B), d/dI(R:E))``; it is called once per trial point, and the
+    merit's gradient ``c_b g_B + c_e g_E`` is formed only at an accepted
+    one.  Directions come from the two-loop recursion over the last
+    ``LBFGS_PAIRS`` (s, y) pairs (Nocedal & Wright, *Numerical
+    Optimization*, 2006, alg. 7.4), taken as ambient
     differences of points and of gradients, and are projected onto the
     tangent space at ``x``; with no pairs, or no descent, the pairs are
     dropped and the step is ``-g`` scaled to length 0.3.  A step of length
@@ -414,8 +413,9 @@ def _lbfgs(merit, x, iters):
     a step's first-order decrease ``a |slope|`` is at most ``MIN_DECREASE``,
     since from there on no trial can pass to first order.
     """
-    scores, g = yield x, merit
-    value = merit(*scores)[0]
+    x, scores, (g_b, g_e) = yield p
+    value, c_b, c_e = merit(*scores)
+    g = c_b * g_b + c_e * g_e
     pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
     for _ in range(iters):
         gn = math.sqrt(_inner(g, g))
@@ -441,14 +441,14 @@ def _lbfgs(merit, x, iters):
         for _ in range(30):
             if -a * slope <= MIN_DECREASE:
                 return x, scores, True
-            cand = qmat.q_factor(x + a * d)
-            trial, g_new = yield cand, merit
-            v = merit(*trial)[0]
+            cand, trial, (g_b, g_e) = yield x + a * d
+            v, c_b, c_e = merit(*trial)
             if v <= value + 1e-4 * a * slope and v < value - MIN_DECREASE:
                 break
             a *= 0.5
         else:
             return x, scores, True
+        g_new = c_b * g_b + c_e * g_e
         s, y = cand - x, g_new - g
         sy = _inner(s, y)
         if sy > 0.0:
@@ -519,13 +519,13 @@ def _lagrangian(
 
 
 def _solve_restart(
-    x0: np.ndarray,
+    x: np.ndarray,
     eps: float,
     opts: OptimizerOptions,
     symmetric: bool,
     stop_value: float,
 ):
-    """One restart from the isometry ``x0``: L-BFGS rounds on an augmented Lagrangian.
+    """One restart from the isometry ``x``: L-BFGS rounds on an augmented Lagrangian.
 
     Round ``k`` minimizes :func:`_lagrangian` at ``mu = 200 * 10**k`` and
     then updates each multiplier to ``max(0, lam + mu c)``.  Rounds get
@@ -535,15 +535,14 @@ def _solve_restart(
     no constraint (equal outputs, unbounded privacy) there is one round of
     ``opts.iterations // 8``.  A feasible restart within
     ``LOWER_BOUND_SLACK`` of ``stop_value`` cannot usefully improve and
-    stops after the round that brought it there.  ``converged``: the last
-    round ended stationary, or the restart reached ``stop_value``.  A
-    generator of the requests of :func:`_lbfgs`; returns the restart's
-    result.
+    stops after the round that brought it there; its result says so in
+    ``at_bound``.  ``converged``: the last round ended stationary, or the
+    restart is at the bound.  A generator of the requests of
+    :func:`_lbfgs`; returns the restart's result.
     """
     lam = [0.0] * len(_constraints(0.0, 0.0, eps, symmetric))
     rounds, per_round = (8, opts.iterations // 40) if lam else (1, opts.iterations // 8)
     per_round = max(1, per_round)
-    x = x0
     for k in range(rounds):
         mu = 200.0 * 10.0**k
         merit = partial(_lagrangian, eps=eps, lam=lam, mu=mu, symmetric=symmetric)
@@ -551,15 +550,16 @@ def _solve_restart(
         x, (m_b, m_e), converged = yield from _lbfgs(merit, x, iters)
         cons = _constraints(m_b, m_e, eps, symmetric)
         feasible = all(c <= FEASIBLE_TOL for c, _, _ in cons)
-        at_bound = (max(m_b, m_e) if symmetric else m_b) <= stop_value + LOWER_BOUND_SLACK
-        if feasible and (at_bound or k >= 4):
-            converged = converged or at_bound
+        kept = max(m_b, m_e) if symmetric else m_b
+        at_bound = feasible and kept <= stop_value + LOWER_BOUND_SLACK
+        if at_bound or (feasible and k >= 4):
             break
         lam = [max(0.0, mult + mu * c) for mult, (c, _, _) in zip(lam, cons)]
 
     if symmetric and m_e > m_b:
         m_b, m_e = m_e, m_b
-    return dict(x=x, i_rb=m_b, i_re=m_e, feasible=feasible, converged=converged)
+    converged = converged or at_bound
+    return dict(x=x, i_rb=m_b, i_re=m_e, feasible=feasible, converged=converged, at_bound=at_bound)
 
 
 def _run_restarts(
@@ -577,19 +577,19 @@ def _run_restarts(
     list, or where an entry is None, it starts from the first columns of the
     Haar unitary ``random_unitary(n, opts.seed + idx)``.  Up to ``width``
     restarts are live at once, started in index order; each round answers
-    every live restart's pending request with one :meth:`_Scorer.evaluate`
-    call, which returns the scores and the merit gradients of the whole
-    stack at once.  A finished restart that is feasible and within
-    ``RESTART_STOP_SLACK`` of ``stop_value`` drops every restart above it,
-    running or not yet started, so the considered set is the one a serial
-    run would stop at.  Each candidate scores the same in any stack, so the
-    results do not depend on ``width`` either.  Returns the considered
-    results, in restart order.
+    every live restart's pending point with one :meth:`_Scorer.evaluate`
+    call, which retracts the whole stack and returns the scores and the
+    gradients of both of them at once; each restart applies its own merit.
+    A finished restart that is at the bound (see :func:`_solve_restart`)
+    drops every restart above it, running or not yet started, so the
+    considered set is the one a serial run would stop at.  Each candidate
+    scores the same in any stack, so the results do not depend on ``width``
+    either.  Returns the considered results, in restart order.
     """
     _, d_a, d_b, d_e = scorer.dims
     results: dict[int, dict] = {}
     gens: dict[int, Generator] = {}
-    asks: dict[int, tuple] = {}  # each live restart's pending (x, merit)
+    asks: dict[int, np.ndarray] = {}  # each live restart's pending point
     started, cutoff = 0, opts.restarts
     while True:
         while started < cutoff and len(gens) < width:
@@ -602,16 +602,14 @@ def _run_restarts(
         if not gens:
             break
         live = list(asks)
-        scores, grads = scorer.evaluate(
-            np.stack([asks[i][0] for i in live]), [asks[i][1] for i in live]
-        )
-        for i, row, grad in zip(live, scores.tolist(), grads):
+        xs, scores, grads = scorer.evaluate(np.stack([asks[i] for i in live]))
+        for i, x, row, grad in zip(live, xs, scores.tolist(), grads):
             try:
-                asks[i] = gens[i].send((row, grad))
+                asks[i] = gens[i].send((x, row, grad))
             except StopIteration as done:
                 del gens[i], asks[i]
-                results[i] = res = done.value
-                if res["feasible"] and res["i_rb"] <= stop_value + RESTART_STOP_SLACK:
+                results[i] = done.value
+                if done.value["at_bound"]:
                     cutoff = min(cutoff, i + 1)
         for i in [i for i in gens if i >= cutoff]:
             del gens[i], asks[i]
@@ -636,8 +634,8 @@ def optimize_xi(
     restart is feasible, it returns the least-leaking one (least ``i_re``)
     with ``feasible=False``.
 
-    The restarts advance in lockstep, every round giving all of them the
-    scores and the merit gradient at their trial points in one batched call
+    The restarts advance in lockstep, every round retracting all their trial
+    points and giving the scores and their gradients in one batched call
     (see :func:`_run_restarts`); a line search stops as soon as no trial
     step can lower the merit by more than ``MIN_DECREASE`` to first order
     (see :func:`_lbfgs`).  Identical inputs, options, and seed give an
@@ -654,10 +652,11 @@ def optimize_xi(
         )
     scorer = _Scorer(state.matrix, d_r, d_a, d_b, d_e)
     starts = [_warm_start(opts, d_a, d_b, d_e)]
-    # The merit and the retraction commute with swapping B and E, so a
-    # restart that starts on the swap-invariant measurement family stays on
-    # it, where I(R:E) = I(R:B); only at unbounded privacy can that be
-    # feasible.
+    # A measurement isometry has rows only on the |kk> rows.  Its R (x) B and
+    # R (x) E marginals are block-diagonal, so both gradients, and with them
+    # every L-BFGS direction, have rows only there too, and QR keeps that row
+    # support: a restart started on the measurement family stays on it, where
+    # I(R:E) = I(R:B); only at unbounded privacy can that be feasible.
     if math.isinf(eps):
         starts += [
             _measurement_start(np.eye(d_a, dtype=complex), d_a, d_b, d_e),

@@ -90,12 +90,11 @@ class RankOnePovm:
             raise ValidationError("measurement vectors must share one dimension")
         if not all(np.all(np.isfinite(v)) for v in vecs):
             raise ValidationError("measurement vectors have non-finite entries")
-        total = sum(np.outer(v, v.conj()) for v in vecs)
-        defect = float(np.max(np.abs(total - np.eye(d))))
-        if defect > qmat.UNITARITY_TOL:
-            raise ValidationError(
-                f"measurement elements do not resolve the identity: defect {defect:.3e}"
-            )
+        # sum |v><v| is M^dag M for the matrix M whose rows are the <v|.
+        _check_orthonormal(
+            np.array(vecs).conj(),
+            "measurement elements do not resolve the identity: defect {defect:.3e}",
+        )
         object.__setattr__(self, "vectors", vecs)
 
     @property
@@ -203,13 +202,10 @@ def bell_basis() -> np.ndarray:
 def bell_shredder(labels: tuple[str, str] = ("B", "E")) -> Isometry:
     """Measurement-style splitting of two qubits along the Bell basis.
 
-    Sends the i-th Bell ket to ``|i>_B (x) |i>_E`` with ``d_B = d_E = 4``.
+    Sends the i-th Bell ket to ``|i>_B (x) |i>_E`` with ``d_B = d_E = 4``:
+    the measurement isometry of the Bell basis.
     """
-    e = bell_basis()
-    m = np.zeros((16, 4), dtype=complex)
-    for i in range(4):
-        m[i * 4 + i, :] = e[:, i].conj()
-    return Isometry(m, _out_sig(4, 4, labels), 4)
+    return povm_isometry(RankOnePovm(tuple(bell_basis().T)), labels)
 
 
 def povm_isometry(p: RankOnePovm, labels: tuple[str, str] = ("B", "E")) -> Isometry:
@@ -240,13 +236,7 @@ def random_unitary_channel_dilation(
     computational basis leaves the reference marginal proportional to the
     input marginal for every outcome.
     """
-    ps = np.asarray(p, dtype=float)
-    if ps.ndim != 1 or ps.size != len(unitaries):
-        raise ValidationError(
-            f"{ps.size} weights for {len(unitaries)} unitaries"
-        )
-    if np.any(ps < -1e-12) or abs(ps.sum() - 1.0) > 1e-9:
-        raise ValidationError("weights must be a probability vector summing to 1")
+    ps = qmat.probability_vector(p, len(unitaries), "unitaries")
     us = [np.asarray(u, dtype=complex) for u in unitaries]
     d = us[0].shape[0]
     for u in us:

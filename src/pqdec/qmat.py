@@ -30,6 +30,7 @@ __all__ = [
     "matrix_from_entries",
     "matrix_to_entries",
     "partial_trace",
+    "probability_vector",
     "q_factor",
     "trace_distance",
     "validate_density",
@@ -241,6 +242,19 @@ def validate_density(m: np.ndarray, tol: float = DENSITY_TOL) -> np.ndarray:
     w = w / w.sum()
     cleaned = (u * w) @ u.conj().T
     return 0.5 * (cleaned + cleaned.conj().T)
+
+
+def probability_vector(p, count: int, what: str) -> np.ndarray:
+    """``p`` as a float vector of ``count`` finite probabilities, one for each
+    of ``what``, none below ``-1e-12`` and summing to 1 within ``1e-9``."""
+    ps = np.asarray(p, dtype=float)
+    if ps.ndim != 1 or ps.size != count:
+        raise ValidationError(f"{ps.size} weights for {count} {what}")
+    if not np.all(np.isfinite(ps)):
+        raise ValidationError(f"weights have non-finite entries: {ps.tolist()}")
+    if np.any(ps < -1e-12) or abs(ps.sum() - 1.0) > 1e-9:
+        raise ValidationError("weights must be a probability vector summing to 1")
+    return ps
 
 
 # ---------------------------------------------------------------------------

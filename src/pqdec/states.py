@@ -147,13 +147,7 @@ def classically_correlated(
     ``p`` must be a probability vector and each conditional a density matrix
     of one common dimension.
     """
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size != len(conditionals):
-        raise ValidationError(
-            f"{p.size} weights for {len(conditionals)} conditional states"
-        )
-    if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
-        raise ValidationError("weights must be a probability vector summing to 1")
+    p = qmat.probability_vector(p, len(conditionals), "conditional states")
     conds = [qmat.validate_density(c) for c in conditionals]
     d_r = conds[0].shape[0]
     if any(c.shape[0] != d_r for c in conds):

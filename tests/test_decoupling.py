@@ -280,9 +280,9 @@ class TestOptimize:
         widest = []
         evaluate = dec._Scorer.evaluate
 
-        def counted(self, x, merits):
-            widest.append(len(x))
-            return evaluate(self, x, merits)
+        def counted(self, p):
+            widest.append(len(p))
+            return evaluate(self, p)
 
         monkeypatch.setattr(dec._Scorer, "evaluate", counted)
         out = optimize_xi(rho, UNBOUNDED, opts)
@@ -342,6 +342,28 @@ class TestOptimize:
             want[m * 5 + m, :] = basis[:, m].conj()
         assert np.array_equal(dec._measurement_start(basis, 4, 4, 5), want)
 
+    def test_measurement_starts_stay_on_the_measurement_family(self, monkeypatch):
+        # At eps = inf restarts 1 and 2 start from measurement isometries,
+        # whose rows lie on |kk>.  Their R (x) B and R (x) E marginals are
+        # block-diagonal, so the gradients have rows only there, and QR keeps
+        # that row support: both restarts end on the family, with equal
+        # shares.  Swapping B and E alone would keep them only on the larger
+        # set of swap-invariant isometries.
+        considered = []
+        run = dec._run_restarts
+        monkeypatch.setattr(
+            dec, "_run_restarts", lambda *args: considered.append(run(*args)) or considered[-1]
+        )
+        off = np.ones(9, dtype=bool)
+        off[[0, 4, 8]] = False
+        for s in range(5):
+            rho = random_density(9, 9, 3000 + s, labels=("R", "A"), dims=(3, 3))
+            optimize_xi(rho, UNBOUNDED, OptimizerOptions(restarts=4, iterations=600, seed=s))
+            assert len(considered[-1]) >= 3
+            for res in considered[-1][1:3]:
+                assert np.linalg.norm(res["x"][off]) <= 1e-9
+                assert abs(res["i_rb"] - res["i_re"]) <= 1e-9
+
 
 class TestPovmUpper:
     def test_pure_state_pinned_at_reference_entropy(self):
@@ -365,37 +387,32 @@ def random_point(n, d_a, seed):
     return random_unitary(n, seed)[:, :d_a]
 
 
-def tangent_difference(f, x, xi, h=1e-5):
-    """Central difference of ``f`` along the retracted curve ``q_factor(x + t xi)``."""
-    return (f(q_factor(x + h * xi)) - f(q_factor(x - h * xi))) / (2.0 * h)
+def raw_scores(scorer, ps):
+    """The raw (I(R:B), I(R:E)) at the retractions of a stack of points."""
+    return scorer.evaluate(ps)[1]
 
 
-def raw_scores(scorer, xs):
-    """The raw (I(R:B), I(R:E)) of a stack, evaluated under a merit that is I(R:B)."""
-    return scorer.evaluate(xs, [lambda m_b, m_e: (m_b, 1.0, 0.0)] * len(xs))[0]
+def merit_value(scorer, merit, p):
+    """The merit at the retraction of the point ``p``."""
+    return merit(*raw_scores(scorer, p[None])[0])[0]
 
 
-def objective(scorer, merit):
-    """The search objective and its exact gradient at one isometry, through stacks of one."""
-
-    def f(x):
-        return merit(*scorer.evaluate(x[None], [merit])[0][0])[0]
-
-    def grad(x):
-        return scorer.evaluate(x[None], [merit])[1][0]
-
-    return f, grad
+def merit_gradient(scorer, merit, p):
+    """The merit's Riemannian gradient at the retraction of ``p``, by the
+    chain rule on the gradients of the two scores."""
+    _, scores, grads = scorer.evaluate(p[None])
+    _, c_b, c_e = merit(*scores[0])
+    return c_b * grads[0, 0] + c_e * grads[0, 1]
 
 
 def penalized_problem(rho, d_b, d_e, eps, lam=(), mu=1.0):
-    """The augmented Lagrangian with multipliers ``lam`` at penalty ``mu``."""
+    """The scorer and the augmented Lagrangian with multipliers ``lam`` at penalty ``mu``."""
     d_r, d_a = rho.sig.dims
-    scorer = dec._Scorer(rho.matrix, d_r, d_a, d_b, d_e)
 
     def merit(m_b, m_e):
         return dec._lagrangian(m_b, m_e, eps, lam, mu, d_b == d_e)
 
-    return (scorer, *objective(scorer, merit))
+    return dec._Scorer(rho.matrix, d_r, d_a, d_b, d_e), merit
 
 
 def measurement_scorer(rho, m):
@@ -404,16 +421,16 @@ def measurement_scorer(rho, m):
 
 
 def drive(search, reply):
-    """Answer every request of an L-BFGS generator with ``reply(x)``.
+    """Answer every request of an L-BFGS generator with ``reply(p)``.
 
     Returns the generator's result and the points it asked about, in order.
     """
     asked = []
     ask = next(search)
     while True:
-        asked.append(ask[0])
+        asked.append(ask)
         try:
-            ask = search.send(reply(ask[0]))
+            ask = search.send(reply(ask))
         except StopIteration as done:
             return done.value, asked
 
@@ -432,16 +449,18 @@ class TestLbfgs:
         # gradient, so the run asks about 1 + 8 points, each once.
         a, w = np.diag(np.arange(1.0, 5.0)), np.diag([1.0, 2.0])
 
-        def reply(x):
-            return (np.trace(x.conj().T @ a @ x @ w).real, 0.0), dec._tangent(x, 2.0 * a @ x @ w)
+        def reply(p):
+            x = q_factor(p)
+            g = dec._tangent(x, 2.0 * a @ x @ w)
+            return x, (np.trace(x.conj().T @ a @ x @ w).real, 0.0), np.stack([g, np.zeros_like(g)])
 
         (x, scores, stationary), asked = drive(
             dec._lbfgs(self.merit, random_point(4, 2, 1), 8), reply
         )
         assert len(asked) == 9 and not stationary
-        values = [reply(x)[0][0] for x in asked]
+        values = [reply(p)[1][0] for p in asked]
         assert all(after < before for before, after in zip(values, values[1:]))
-        assert x.tobytes() == asked[-1].tobytes() and scores == reply(x)[0]
+        assert x.tobytes() == q_factor(asked[-1]).tobytes() and scores == reply(asked[-1])[1]
 
     def test_a_search_that_cannot_pass_is_not_tried(self):
         # A stiff quadratic in the phase of a 1 x 1 isometry x = e^(i phi),
@@ -452,9 +471,10 @@ class TestLbfgs:
         # MIN_DECREASE, and every halving promises less.
         c = 1e4
 
-        def reply(x):
+        def reply(p):
+            x = q_factor(p)
             phi = float(np.angle(x[0, 0]))
-            return (0.5 * c * phi * phi, 0.0), 1j * c * phi * x
+            return x, (0.5 * c * phi * phi, 0.0), np.stack([1j * c * phi * x, np.zeros_like(x)])
 
         start = np.exp(1j * (np.arctan(0.3) + 1e-9)).reshape(1, 1)
         (x, _, stationary), asked = drive(dec._lbfgs(self.merit, start, 50), reply)
@@ -463,7 +483,7 @@ class TestLbfgs:
 
 
 class TestBatchedScorer:
-    """A stack of candidates scores each one exactly as a stack of one does."""
+    """A stack of points retracts and scores each one exactly as a stack of one does."""
 
     @pytest.mark.parametrize(
         "d, d_b, d_e, m",
@@ -475,58 +495,68 @@ class TestBatchedScorer:
             scorer = dec._Scorer(rho.matrix, d, d, d_b, d_e)
         else:
             scorer = measurement_scorer(rho, m)
-        xs = np.stack([random_point(scorer.n, d, d_b * d_e + i) for i in range(6)])
-        xs[0] = np.eye(scorer.n, d)
-        constraints = 1 if d_b == d_e else 2
-        merits = [
-            lambda m_b, m_e, lam=lam, mu=mu: dec._lagrangian(
-                m_b, m_e, 0.01, [lam] * constraints, mu, d_b == d_e
-            )
-            for lam, mu in ((0.0, 20.0), (0.0, 2e2), (0.5, 2e3), (1.0, 2e4), (0.0, 2e5), (2.0, 2e6))
-        ]
-        alone = [
-            tuple(a.tobytes() for a in scorer.evaluate(x[None], [merit]))
-            for x, merit in zip(xs, merits)
-        ]
+        # Bare points off the manifold, as L-BFGS trial points are, and the
+        # identity embedding, where some marginals are rank-deficient.
+        rng = np.random.default_rng(d_b * d_e)
+        ps = rng.standard_normal((6, scorer.n, d, 2)) @ np.array([1.0, 1j])
+        ps[0] = np.eye(scorer.n, d)
+        alone = [tuple(a.tobytes() for a in scorer.evaluate(p[None])) for p in ps]
         for k in range(1, 7):
-            scores, grads = scorer.evaluate(xs[:k], merits[:k])
-            assert scores.shape == (k, 2) and grads.shape == (k, scorer.n, d)
-            stacked = [(scores[i : i + 1].tobytes(), grads[i : i + 1].tobytes()) for i in range(k)]
+            x, scores, grads = scorer.evaluate(ps[:k])
+            assert x.tobytes() == q_factor(ps[:k]).tobytes()
+            assert scores.shape == (k, 2) and grads.shape == (k, 2, scorer.n, d)
+            stacked = [
+                (x[i : i + 1].tobytes(), scores[i : i + 1].tobytes(), grads[i : i + 1].tobytes())
+                for i in range(k)
+            ]
             assert stacked == alone[:k]
 
     def test_scores_match_the_public_scoring_path(self):
         rho = random_density(9, 9, 3, labels=("R", "A"), dims=(3, 3))
         scorer = dec._Scorer(rho.matrix, 3, 3, 3, 3)
-        xs = np.stack([random_point(9, 3, seed) for seed in range(3)])
-        for x, (m_b, m_e) in zip(xs, raw_scores(scorer, xs)):
+        xs, scores, _ = scorer.evaluate(np.stack([random_point(9, 3, seed) for seed in range(3)]))
+        for x, (m_b, m_e) in zip(xs, scores):
             out = apply_isometry(rho, Isometry(x, DimSig((3, 3), ("B", "E")), 3))
             assert abs(m_b - mutual_information(out, "R", "B")) <= 1e-12
             assert abs(m_e - mutual_information(out, "R", "E")) <= 1e-12
 
 
 class TestExactGradient:
-    """The closed-form Riemannian gradient of the search objective against
-    central differences along random tangent directions."""
+    """The closed-form Riemannian gradients of I(R:B) and of I(R:E), and the
+    merit's gradient formed from them by the chain rule, against central
+    differences along random tangent directions."""
 
-    def assert_matches(self, f, grad, x):
+    def assert_matches(self, scorer, merit, p, h=1e-5):
         # As many random tangent directions as the ambient space has real
-        # coordinates, so that together they pin down the whole gradient.
-        exact_grad = grad(x)
+        # coordinates, so that together they pin down each gradient.  The
+        # points x +- h xi go to evaluate bare, and it retracts them.
+        (x,), (scores,), (grads,) = scorer.evaluate(p[None])
         rng = np.random.default_rng(x.size)
         xis = [
             dec._tangent(x, rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape))
             for _ in range(2 * x.size)
         ]
-        exact = np.array([dec._inner(exact_grad, xi) for xi in xis])
-        approx = np.array([tangent_difference(f, x, xi) for xi in xis])
-        assert np.all(np.isfinite(exact_grad))
-        assert np.linalg.norm(exact - approx) <= 1e-6 * np.linalg.norm(approx)
+        plus = raw_scores(scorer, np.stack([x + h * xi for xi in xis]))
+        minus = raw_scores(scorer, np.stack([x - h * xi for xi in xis]))
+        _, c_b, c_e = merit(*scores)
+        for g, up, down in (
+            (grads[0], plus[:, 0], minus[:, 0]),
+            (grads[1], plus[:, 1], minus[:, 1]),
+            (
+                c_b * grads[0] + c_e * grads[1],
+                np.array([merit(*s)[0] for s in plus]),
+                np.array([merit(*s)[0] for s in minus]),
+            ),
+        ):
+            exact = np.array([dec._inner(g, xi) for xi in xis])
+            approx = (up - down) / (2.0 * h)
+            assert np.all(np.isfinite(g))
+            assert np.linalg.norm(exact - approx) <= 1e-6 * np.linalg.norm(approx)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_symmetric_unconstrained(self, d):
         rho = random_density(d * d, d * d, 70 + d, labels=("R", "A"), dims=(d, d))
-        _, f, grad = penalized_problem(rho, d, d, UNBOUNDED)
-        self.assert_matches(f, grad, random_point(d * d, d, d))
+        self.assert_matches(*penalized_problem(rho, d, d, UNBOUNDED), random_point(d * d, d, d))
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_symmetric_with_active_penalty(self, d):
@@ -534,10 +564,10 @@ class TestExactGradient:
         eps = 0.01
         x = random_point(d * d, d, 10 + d)
         for lam in (0.0, 0.5):
-            scorer, f, grad = penalized_problem(rho, d, d, eps, [lam], 2000.0)
+            scorer, merit = penalized_problem(rho, d, d, eps, [lam], 2000.0)
             m_b, m_e = raw_scores(scorer, x[None])[0]
             assert min(m_b, m_e) > eps
-            self.assert_matches(f, grad, x)
+            self.assert_matches(scorer, merit, x)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_symmetric_slack_constraint_with_multiplier(self, d):
@@ -547,9 +577,8 @@ class TestExactGradient:
         x = random_point(d * d, d, 10 + d)
         m_b, m_e = raw_scores(dec._Scorer(rho.matrix, d, d, d, d), x[None])[0]
         eps = min(m_b, m_e) + 0.01
-        _, f, grad = penalized_problem(rho, d, d, eps, [50.0], 1000.0)
         assert 50.0 + 1000.0 * (min(m_b, m_e) - eps) > 0.0
-        self.assert_matches(f, grad, x)
+        self.assert_matches(*penalized_problem(rho, d, d, eps, [50.0], 1000.0), x)
 
     def test_asymmetric_outputs(self):
         rho = random_density(4, 4, 91, labels=("R", "A"), dims=(2, 2))
@@ -564,8 +593,7 @@ class TestExactGradient:
             (0.01, [0.3, 0.5], 2000.0),
             (m_e + 0.01, [0.2, 40.0], 1000.0),
         ):
-            _, f, grad = penalized_problem(rho, 2, 3, eps, lam, mu)
-            self.assert_matches(f, grad, x)
+            self.assert_matches(*penalized_problem(rho, 2, 3, eps, lam, mu), x)
 
     @pytest.mark.parametrize(
         "d_r, d_a, d_b, d_e, eps, lam",
@@ -577,10 +605,10 @@ class TestExactGradient:
         # size of two copies of a qubit state.
         rho = random_density(d_r * d_a, d_r * d_a, 94 + d_b, labels=("R", "A"), dims=(d_r, d_a))
         x = random_point(d_b * d_e, d_a, 7)
-        scorer, f, grad = penalized_problem(rho, d_b, d_e, eps, lam, 2000.0)
+        scorer, merit = penalized_problem(rho, d_b, d_e, eps, lam, 2000.0)
         if lam:
             assert raw_scores(scorer, x[None])[0][1] > eps  # the eps constraint is active
-        self.assert_matches(f, grad, x)
+        self.assert_matches(scorer, merit, x)
 
     def test_measurement_objective(self):
         # The computational measurement, a random two-outcome one and a
@@ -591,9 +619,8 @@ class TestExactGradient:
             (2, random_point(2, 2, 6)),
             (3, random_point(3, 2, 6)),
         ):
-            scorer = measurement_scorer(rho, m)
-            f, grad = objective(scorer, lambda a, b: (0.5 * (a + b), 0.5, 0.5))
-            self.assert_matches(f, grad, x)
+            merit = lambda a, b: (0.5 * (a + b), 0.5, 0.5)  # noqa: E731
+            self.assert_matches(measurement_scorer(rho, m), merit, x)
 
     def test_rank_deficient_marginal(self):
         # At the first two columns of the identity the input goes wholly
@@ -601,19 +628,46 @@ class TestExactGradient:
         # on its support only.  I(R:E) is at its maximum there, so the
         # gradient vanishes up to rounding.
         rho = random_density(4, 4, 93, labels=("R", "A"), dims=(2, 2))
-        _, f, grad = penalized_problem(rho, 2, 2, UNBOUNDED)
-        g = grad(np.eye(4, 2, dtype=complex))
+        scorer, merit = penalized_problem(rho, 2, 2, UNBOUNDED)
+        g = merit_gradient(scorer, merit, np.eye(4, 2, dtype=complex))
         assert np.all(np.isfinite(g)) and np.linalg.norm(g) <= 1e-12
         # A pure input keeps the RB and RE marginals at rank 2 of 4 at every
         # isometry, where the gradient is far from zero: it matches central
         # differences and a retracted step against it descends.
         pure = to_density(random_pure((2, 2), 93, labels=("R", "A")))
-        _, f, grad = penalized_problem(pure, 2, 2, UNBOUNDED)
+        scorer, merit = penalized_problem(pure, 2, 2, UNBOUNDED)
         x = random_point(4, 2, 93)
-        self.assert_matches(f, grad, x)
-        g = grad(x)
+        self.assert_matches(scorer, merit, x)
+        g = merit_gradient(scorer, merit, x)
         gn = np.linalg.norm(g)
-        assert f(q_factor(x - 1e-4 * g / gn)) < f(x) - 1e-6 * gn
+        assert merit_value(scorer, merit, x - 1e-4 * g / gn) < merit_value(scorer, merit, x) - 1e-6 * gn
+
+    @pytest.mark.parametrize(
+        "m_b, m_e, eps, lam, mu, symmetric",
+        [
+            (0.4, 0.1, UNBOUNDED, [], 20.0, True),
+            (0.1, 0.4, UNBOUNDED, [], 20.0, True),
+            (0.5, 0.35, 0.3, [0.2], 200.0, True),
+            (0.5, 0.2, 0.3, [30.0], 200.0, True),
+            (0.2, 0.5, 0.3, [30.0], 200.0, True),
+            (0.5, 0.6, UNBOUNDED, [0.1], 20.0, False),
+            (0.5, 0.35, 0.3, [0.2, 0.5], 200.0, False),
+            (0.3, 0.32, 0.3, [0.2, 0.5], 200.0, False),
+        ],
+    )
+    def test_lagrangian_partials(self, m_b, m_e, eps, lam, mu, symmetric):
+        # Points where the larger share and each max(0, lam + mu c) are
+        # smooth; the last three cases of each kind have a term active.
+        h = 1e-6
+
+        def f(b, e):
+            return dec._lagrangian(b, e, eps, lam, mu, symmetric)[0]
+
+        _, d_b, d_e = dec._lagrangian(m_b, m_e, eps, lam, mu, symmetric)
+        approx_b = (f(m_b + h, m_e) - f(m_b - h, m_e)) / (2.0 * h)
+        approx_e = (f(m_b, m_e + h) - f(m_b, m_e - h)) / (2.0 * h)
+        assert abs(d_b - approx_b) <= 1e-6 * max(1.0, abs(d_b))
+        assert abs(d_e - approx_e) <= 1e-6 * max(1.0, abs(d_e))
 
 
 class TestBoundsReport:

@@ -126,6 +126,15 @@ class TestBellShredder:
             assert np.max(np.abs(got - want)) <= 1e-12
         assert isometry_defect(v) <= 1e-12
 
+    def test_is_the_bell_measurement_isometry(self):
+        # The matrix that recorded each Bell ket by hand, byte for byte.
+        e = bell_basis()
+        m = np.zeros((16, 4), dtype=complex)
+        for i in range(4):
+            m[i * 4 + i, :] = e[:, i].conj()
+        assert bell_shredder().matrix.tobytes() == m.tobytes()
+        assert bell_shredder(("K", "D")).out_sig == DimSig((4, 4), ("K", "D"))
+
 
 class TestPovmIsometry:
     def test_records_outcome_twice(self):
@@ -155,7 +164,7 @@ class TestPovmIsometry:
         assert isometry_defect(v) <= 1e-12
 
     def test_rejects_non_resolving_elements(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="do not resolve the identity: defect 1.000e"):
             RankOnePovm((np.array([1.0, 0.0]),))
 
     def test_rejects_non_finite_vectors(self):
@@ -183,6 +192,11 @@ class TestRandomUnitaryDilation:
             random_unitary_channel_dilation([u, 2 * u], [0.5, 0.5])
         with pytest.raises(ValidationError):
             random_unitary_channel_dilation([u, np.eye(3)], [0.5, 0.5])
+
+    @pytest.mark.parametrize("p", [[np.nan, np.nan], [np.inf, 0.0]])
+    def test_rejects_non_finite_weights(self, p):
+        with pytest.raises(ValidationError, match="non-finite"):
+            random_unitary_channel_dilation([np.eye(2), np.eye(2)], p)
 
 
 def test_json_round_trip_bit_for_bit():

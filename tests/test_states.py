@@ -80,6 +80,14 @@ def test_classically_correlated_errors():
         classically_correlated([0.5, 0.5], [good, np.eye(3) / 3])
 
 
+@pytest.mark.parametrize("p", [[np.nan, np.nan], [np.inf, 0.0]])
+def test_classically_correlated_rejects_non_finite_weights(p):
+    # [nan, nan] used to pass the weight check and fail later, as a density
+    # matrix with non-finite entries.
+    with pytest.raises(ValidationError, match="weights have non-finite"):
+        classically_correlated(p, [np.eye(2) / 2, np.eye(2) / 2])
+
+
 def test_append_maximally_mixed_and_merge():
     bell = to_density(max_entangled(2))
     big = append_maximally_mixed(bell, 2, "Ax")
