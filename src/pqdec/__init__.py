@@ -46,13 +46,6 @@ from .isometries import (
     twirl_isometry,
     validate_isometry,
 )
-from .scenarios import (
-    ScenarioReport,
-    available_scenarios,
-    report_to_json,
-    run_all,
-    run_scenario,
-)
 from .qmat import (
     DimSig,
     ValidationError,

@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Single computations print to stdout; longer artifacts (sweeps, studies,
-scenario reports) can also be written to files.  Numeric output carries 12
-significant digits, an unbounded privacy level is spelled ``inf``, and a
-fixed command line reproduces its output byte for byte.
+scenario reports) can also be written to files.  This module writes every
+output format: CSV cells through :func:`_cell` and JSON records through
+:func:`_record`, both read off the fields of the result dataclasses.  Numeric
+output carries 12 significant digits, an unbounded privacy level is spelled
+``inf``, and a fixed command line reproduces its output byte for byte.
 
 Exit codes: 0 success, 1 failed verification, 2 usage errors, 3 numerical
 validation failures.
@@ -14,8 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
-from dataclasses import fields
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,21 +26,44 @@ import numpy as np
 from . import decoupling as dec
 from . import entropics as ent
 from . import qmat
-from . import scenarios as scn
 from . import states as st
-from .decoupling import _fmt
 from .isometries import isometry_to_json, save_isometry
 from .qmat import ValidationError
 
 __all__ = ["build_parser", "main"]
 
 
-# The BoundsReport fields, in order: the keys of `bounds` and columns of `random-study`.
-_BOUNDS_FIELDS = tuple(f.name for f in fields(dec.BoundsReport))
+def _cell(v) -> str:
+    """One CSV cell or printed value: a string as it is, a bool as ``true``
+    or ``false``, an integer in decimal, any other number to 12 significant
+    digits (``inf`` for the unbounded privacy level)."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, numbers.Integral):
+        return str(int(v))
+    return format(float(v), ".12g")
 
 
-def _round12(x: float) -> float:
-    return float(format(float(x), ".12g"))
+def _table(header: list[str], rows) -> str:
+    """CSV text: the header, then one line of :func:`_cell` cells per row."""
+    return "".join(",".join(map(_cell, line)) + "\n" for line in [header, *rows])
+
+
+def _value(v):
+    """One JSON value: the :func:`_cell` of ``v`` read back, a JSON literal
+    for a bool or an integer and a float for any other number, or the
+    string ``inf`` when unbounded."""
+    text = _cell(v)
+    if isinstance(v, (bool, np.bool_, numbers.Integral)):
+        return json.loads(text)
+    return float(text) if math.isfinite(float(text)) else text
+
+
+def _record(obj, skip: tuple[str, ...] = ()) -> dict:
+    """The fields of a result dataclass, in order and without ``skip``, as JSON values."""
+    return {f.name: _value(getattr(obj, f.name)) for f in fields(obj) if f.name not in skip}
 
 
 def _checked(check, what: str):
@@ -153,21 +179,20 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
         value = ent.subsystem_entropy(state, args.subsystem)
     else:
         value = ent.entropy(state)
-    print(_fmt(value))
+    print(_cell(value))
     return 0
 
 
 def _cmd_qmi(args: argparse.Namespace) -> int:
     state = _load(args)
-    print(_fmt(ent.mutual_information(state, args.x, args.y)))
+    print(_cell(ent.mutual_information(state, args.x, args.y)))
     return 0
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     state = _load(args)
     report = dec.bounds_report(state, args.eps, _opts(args))
-    payload = {name: _round12(getattr(report, name)) for name in _BOUNDS_FIELDS}
-    _emit(json.dumps(payload, indent=2), args.out)
+    _emit(json.dumps(_record(report), indent=2), args.out)
     return 0
 
 
@@ -175,18 +200,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     state = _load(args)
     outcome = dec.optimize_xi(state, args.eps, _opts(args))
     certificate = dec.outcome_isometry(outcome)
-    payload = {
-        "i_rb": _round12(outcome.i_rb),
-        "i_re": _round12(outcome.i_re),
-        "epsilon": "inf" if math.isinf(outcome.epsilon) else _round12(outcome.epsilon),
-        "feasible": outcome.feasible,
-        "restarts_used": outcome.restarts_used,
-        "converged": outcome.converged,
-        "d_a": outcome.d_a,
-        "d_b": outcome.d_b,
-        "d_e": outcome.d_e,
-        "isometry": json.loads(isometry_to_json(certificate)),
-    }
+    payload = _record(outcome, skip=("theta",))
+    payload["isometry"] = json.loads(isometry_to_json(certificate))
     _emit(json.dumps(payload, indent=2), args.out)
     if args.certificate:
         save_isometry(certificate, args.certificate)
@@ -196,31 +211,34 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     state = _load(args)
     result = dec.rates_sweep(state, args.eps_grid, _opts(args))
-    _emit(result.to_csv(), args.out)
+    _emit(_table([f.name for f in fields(dec.SweepRow)], map(astuple, result.rows)), args.out)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    reports = scn.run_all(args.seed)
+    from . import scenarios
+
+    reports = scenarios.run_all(args.seed)
     for r in reports:
         worst = max(r.metrics.values()) if r.metrics else 0.0
         tag = "PASS" if r.passed else "FAIL"
-        print(f"{tag} {r.name} worst={_fmt(worst)} tol={_fmt(r.tolerance)} seed={r.seed}")
+        print(f"{tag} {r.name} worst={_cell(worst)} tol={_cell(r.tolerance)} seed={r.seed}")
     if args.out:
-        Path(args.out).write_text(scn.report_to_json(reports) + "\n")
+        Path(args.out).write_text(json.dumps([asdict(r) for r in reports], indent=2) + "\n")
     return 0 if all(r.passed for r in reports) else 1
 
 
 def _cmd_random_study(args: argparse.Namespace) -> int:
-    header = ["sample", "seed", *_BOUNDS_FIELDS, "xi_estimate", "feasible", "lower_ok", "upper_ok"]
-    lines = [",".join(header)]
-    rows = scn.bound_sandwich(args.dims, args.samples, args.seed, args.restarts, args.iterations)
-    for k, row in enumerate(rows):
-        values = [getattr(row.bounds, name) for name in _BOUNDS_FIELDS]
-        flags = [row.outcome.feasible, row.lower_ok, row.upper_ok]
-        cells = [str(k), str(row.seed), *map(_fmt, values + [row.outcome.i_rb])]
-        lines.append(",".join(cells + [str(bool(f)).lower() for f in flags]))
-    _emit("\n".join(lines) + "\n", args.out)
+    from . import scenarios
+
+    bounds = [f.name for f in fields(dec.BoundsReport)]
+    header = ["sample", "seed", *bounds, "xi_estimate", "feasible", "lower_ok", "upper_ok"]
+    rows = scenarios.bound_sandwich(args.dims, args.samples, args.seed, args.restarts, args.iterations)
+    lines = (
+        [k, r.seed, *astuple(r.bounds), r.outcome.i_rb, r.outcome.feasible, r.lower_ok, r.upper_ok]
+        for k, r in enumerate(rows)
+    )
+    _emit(_table(header, lines), args.out)
     return 0
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "pauli_twirl_isometry",
     "povm_isometry",
     "random_unitary_channel_dilation",
+    "record_rows",
     "save_isometry",
     "twirl_isometry",
     "validate_isometry",
@@ -208,6 +209,13 @@ def bell_shredder(labels: tuple[str, str] = ("B", "E")) -> Isometry:
     return povm_isometry(RankOnePovm(tuple(bell_basis().T)), labels)
 
 
+def record_rows(n: int, d_e: int) -> np.ndarray:
+    """Indices of the rows ``|k>_B (x) |k>_E``, ``k < n``, of a B (x) E
+    output whose E factor has dimension ``d_e``: the rows on which a
+    measurement isometry records its outcome in both outputs."""
+    return np.arange(n) * (d_e + 1)
+
+
 def povm_isometry(p: RankOnePovm, labels: tuple[str, str] = ("B", "E")) -> Isometry:
     """Isometry recording a rank-one measurement outcome in both output factors.
 
@@ -216,11 +224,9 @@ def povm_isometry(p: RankOnePovm, labels: tuple[str, str] = ("B", "E")) -> Isome
     correlations with any reference system.
     """
     n = len(p.vectors)
-    d = p.dim
-    m = np.zeros((n * n, d), dtype=complex)
-    for i, v in enumerate(p.vectors):
-        m[i * n + i, :] = v.conj()
-    iso = Isometry(m, _out_sig(n, n, labels), d)
+    m = np.zeros((n * n, p.dim), dtype=complex)
+    m[record_rows(n, n)] = np.conj(p.vectors)
+    iso = Isometry(m, _out_sig(n, n, labels), p.dim)
     validate_isometry(iso)
     return iso
 

@@ -246,9 +246,15 @@ def validate_density(m: np.ndarray, tol: float = DENSITY_TOL) -> np.ndarray:
 
 def probability_vector(p, count: int, what: str) -> np.ndarray:
     """``p`` as a float vector of ``count`` finite probabilities, one for each
-    of ``what``, none below ``-1e-12`` and summing to 1 within ``1e-9``."""
-    ps = np.asarray(p, dtype=float)
-    if ps.ndim != 1 or ps.size != count:
+    of ``what``, none below ``-1e-12`` and summing to 1 within ``1e-9``;
+    anything else raises :class:`ValidationError`."""
+    try:
+        ps = np.asarray(p, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"weights for {what} are not a vector of numbers: {exc}") from None
+    if ps.ndim != 1:
+        raise ValidationError(f"weights must be a vector, got shape {ps.shape}")
+    if ps.size != count:
         raise ValidationError(f"{ps.size} weights for {count} {what}")
     if not np.all(np.isfinite(ps)):
         raise ValidationError(f"weights have non-finite entries: {ps.tolist()}")

@@ -22,7 +22,6 @@ those of criterion 06b.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -44,7 +43,7 @@ BOUND_SLACK = 1e-6
 __all__ = [
     "SandwichRow", "ScenarioReport", "available_scenarios", "bell_line", "bell_one_bit",
     "bound_sandwich", "conservation_defect", "monogamy_defect", "pointer_residue",
-    "randomness_marginal_dev", "report_to_json", "run_all", "run_scenario", "sandwich_row",
+    "randomness_marginal_dev", "run_all", "run_scenario", "sandwich_row",
     "separable_residues", "shredding_residue",
 ]
 
@@ -387,16 +386,3 @@ def run_scenario(name: str, seed: int = 0) -> ScenarioReport:
 def run_all(seed: int = 0) -> list[ScenarioReport]:
     return [run_scenario(name, seed) for name in _SCENARIOS]
 
-
-def report_to_json(reports: list[ScenarioReport]) -> str:
-    payload = [
-        {
-            "name": r.name,
-            "passed": r.passed,
-            "metrics": {k: float(v) for k, v in r.metrics.items()},
-            "tolerance": r.tolerance,
-            "seed": r.seed,
-        }
-        for r in reports
-    ]
-    return json.dumps(payload, indent=2)

@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 
 import pqdec
-from pqdec.cli import _grid_value, main
-from pqdec.decoupling import _fmt, apply_isometry, decoupling_scores
+from pqdec.cli import _cell, _grid_value, _record, build_parser, main
+from pqdec.decoupling import BoundsReport, DecouplingOutcome, apply_isometry, decoupling_scores
 from pqdec.isometries import load_isometry
 from pqdec.qmat import ValidationError
 from pqdec.scenarios import bound_sandwich
@@ -114,6 +115,56 @@ def test_sweep_csv(tmp_path, capsys):
     assert all(b <= a + 1e-12 for a, b in zip(envelope, envelope[1:]))
 
 
+def test_sweep_csv_shape(tmp_path, capsys):
+    # The grid flag takes finite bounds only, so the unbounded point is set
+    # on the parsed arguments.
+    args = build_parser().parse_args(
+        ["sweep", "--state", make_bell(tmp_path), "--eps-grid", "0:0:1"] + FAST
+    )
+    args.eps_grid = [0.0, math.inf]
+    assert args.func(args) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == (
+        "eps,xi_raw,xi_envelope,i_rb,i_re,prop1_lower,half_qmi_upper,"
+        "feasible,restarts_used,converged"
+    )
+    assert len(lines) == 3
+    assert lines[2].startswith("inf,")
+
+
+def test_cell_rule():
+    assert _cell("eps") == "eps"
+    assert [_cell(v) for v in (True, False, np.bool_(True), np.bool_(False))] == [
+        "true", "false", "true", "false"
+    ]
+    assert [_cell(v) for v in (0, 7, np.int64(-3))] == ["0", "7", "-3"]
+    assert _cell(math.inf) == "inf"
+    assert _cell(0.0) == "0" and _cell(2.0) == "2"
+    assert _cell(1 / 3) == "0.333333333333"
+    assert _cell(np.float64(2 / 3)) == "0.666666666667"
+    assert _cell(1.23456789012345e-7) == "1.23456789012e-07"
+
+
+def test_record_rule():
+    report = BoundsReport(2.0, 1 / 3, np.float64(0.5), 1.0, 2 / 3, 0.0)
+    assert list(_record(report).items()) == [
+        ("qmi", 2.0), ("ic_a_to_r", 0.333333333333), ("prop1_lower", 0.5),
+        ("half_qmi_upper", 1.0), ("povm_upper", 0.666666666667), ("xi_infinity", 0.0),
+    ]
+    outcome = DecouplingOutcome(
+        np.eye(4, 2), 1 / 3, 0.1, math.inf, np.bool_(True), np.int64(4), False, 2, 2, 2
+    )
+    record = _record(outcome, skip=("theta",))
+    assert list(record) == [
+        "i_rb", "i_re", "epsilon", "feasible", "restarts_used", "converged", "d_a", "d_b", "d_e"
+    ]
+    assert record["epsilon"] == "inf" and record["i_rb"] == 0.333333333333
+    assert record["feasible"] is True and record["converged"] is False
+    assert type(record["restarts_used"]) is int and record["restarts_used"] == 4
+    # Every value is plain JSON, with no numpy scalar left over.
+    assert json.loads(json.dumps(record)) == record
+
+
 def test_verify_passes(tmp_path, capsys):
     report = tmp_path / "report.json"
     assert main(["verify", "--seed", "42", "--out", str(report)]) == 0
@@ -121,7 +172,11 @@ def test_verify_passes(tmp_path, capsys):
     assert len(lines) == 10
     assert all(line.startswith("PASS ") for line in lines)
     payload = json.loads(report.read_text())
-    assert all(entry["passed"] for entry in payload)
+    assert isinstance(payload, list) and len(payload) == 10
+    for entry in payload:
+        assert set(entry) == {"name", "passed", "metrics", "tolerance", "seed"}
+        assert entry["passed"] is True
+        assert isinstance(entry["metrics"], dict)
 
 
 def test_random_study_csv(tmp_path, capsys):
@@ -145,9 +200,9 @@ def test_random_study_matches_the_sandwich_gate(capsys):
     rows = bound_sandwich((2, 2), 2, 600, restarts=6, iterations=800)
     assert len(printed) == len(rows) == 2
     for cells, row in zip(printed, rows):
-        assert cells["xi_estimate"] == _fmt(row.outcome.i_rb)
-        assert cells["povm_upper"] == _fmt(row.bounds.povm_upper)
-        assert cells["prop1_lower"] == _fmt(row.bounds.prop1_lower)
+        assert cells["xi_estimate"] == _cell(row.outcome.i_rb)
+        assert cells["povm_upper"] == _cell(row.bounds.povm_upper)
+        assert cells["prop1_lower"] == _cell(row.bounds.prop1_lower)
         assert cells["lower_ok"] == str(row.lower_ok).lower() == "true"
         assert cells["upper_ok"] == str(row.upper_ok).lower() == "true"
 
@@ -310,6 +365,14 @@ def test_undecodable_state_is_a_validation_failure(tmp_path, capsys, raw):
     assert "malformed state document" in capsys.readouterr().err
     with pytest.raises(ValidationError, match="malformed isometry document"):
         load_isometry(path)
+
+
+def test_cli_import_loads_no_scenarios():
+    # Only verify and random-study need the scenarios; they import them when run.
+    src = os.path.dirname(os.path.dirname(pqdec.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, pqdec.cli; sys.exit('pqdec.scenarios' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 def test_import_loads_no_scipy():

@@ -198,6 +198,14 @@ class TestRandomUnitaryDilation:
         with pytest.raises(ValidationError, match="non-finite"):
             random_unitary_channel_dilation([np.eye(2), np.eye(2)], p)
 
+    @pytest.mark.parametrize(
+        "p, match",
+        [(["a", "b"], "not a vector of numbers: .*'a'"), ([[0.5], [0.5]], r"shape \(2, 1\)")],
+    )
+    def test_rejects_malformed_weights(self, p, match):
+        with pytest.raises(ValidationError, match=match):
+            random_unitary_channel_dilation([np.eye(2), np.eye(2)], p)
+
 
 def test_json_round_trip_bit_for_bit():
     v = mub_shredder(3)

@@ -1,10 +1,7 @@
-import json
-
 import pytest
 
 from pqdec.scenarios import (
     available_scenarios,
-    report_to_json,
     run_all,
     run_scenario,
 )
@@ -68,12 +65,3 @@ def test_unknown_scenario_rejected():
     with pytest.raises(KeyError):
         run_scenario("nope", 0)
 
-
-def test_json_schema():
-    reports = run_all(7)
-    payload = json.loads(report_to_json(reports))
-    assert isinstance(payload, list) and len(payload) == len(EXPECTED_NAMES)
-    for entry in payload:
-        assert set(entry) == {"name", "passed", "metrics", "tolerance", "seed"}
-        assert entry["passed"] is True
-        assert isinstance(entry["metrics"], dict)

@@ -88,6 +88,15 @@ def test_classically_correlated_rejects_non_finite_weights(p):
         classically_correlated(p, [np.eye(2) / 2, np.eye(2) / 2])
 
 
+@pytest.mark.parametrize(
+    "p, match",
+    [(["a", "b"], "not a vector of numbers: .*'a'"), ([[0.5], [0.5]], r"shape \(2, 1\)")],
+)
+def test_classically_correlated_rejects_malformed_weights(p, match):
+    with pytest.raises(ValidationError, match=match):
+        classically_correlated(p, [np.eye(2) / 2, np.eye(2) / 2])
+
+
 def test_append_maximally_mixed_and_merge():
     bell = to_density(max_entangled(2))
     big = append_maximally_mixed(bell, 2, "Ax")
