@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from pqdec.cli import main
 from pqdec.scenarios import (
     available_scenarios,
     run_all,
@@ -65,3 +68,15 @@ def test_unknown_scenario_rejected():
     with pytest.raises(KeyError):
         run_scenario("nope", 0)
 
+
+def test_json_schema(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert main(["verify", "--seed", "7", "--out", str(report)]) == 0
+    capsys.readouterr()
+    payload = json.loads(report.read_text())
+    assert isinstance(payload, list) and len(payload) == len(EXPECTED_NAMES)
+    assert [entry["name"] for entry in payload] == list(EXPECTED_NAMES)
+    for entry in payload:
+        assert set(entry) == {"name", "passed", "metrics", "tolerance", "seed"}
+        assert entry["passed"] is True
+        assert isinstance(entry["metrics"], dict)
