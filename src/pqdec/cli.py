@@ -69,18 +69,21 @@ def _record(obj, skip: tuple[str, ...] = ()) -> dict:
 def _checked(check, what: str):
     """An argparse type that parses with ``check``; its failures are usage errors."""
 
-    def parse(text: str) -> float:
+    def parse(text: str):
         try:
             return check(text)
         except ValidationError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not a {what}: {text!r}") from None
+            raise argparse.ArgumentTypeError(f"not {what}: {text!r}") from None
 
     return parse
 
 
-_eps_value = _checked(dec._check_eps, "privacy level")
+_eps_value = _checked(dec._check_eps, "a privacy level")
+# argparse names the flag, so the count rule's message leaves the subject out.
+_positive_int = _checked(lambda text: qmat.count(int(text), 1, ""), "an integer")
+_seed_value = _checked(lambda text: qmat.count(int(text), 0, ""), "an integer")
 
 
 # Each grid point is a full search, so a longer grid is a typo, not a request.
@@ -106,31 +109,12 @@ def _grid_value(text: str) -> list[float]:
     return [v for v in (lo + k * step for k in range(int(span) + 2)) if v <= edge]
 
 
-def _int_at_least(least: int):
-    """An argparse type for integers ``>= least``."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-        if value < least:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {value}")
-        return value
-
-    return parse
-
-
-_positive_int = _int_at_least(1)
-_seed_value = _int_at_least(0)
-
-
 def _emit(text: str, out: str | None) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
+    """Write ``out`` first, so that a reader closing stdout early cannot cost the file."""
+    text = text if text.endswith("\n") else text + "\n"
     if out:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n")
+        Path(out).write_text(text)
+    sys.stdout.write(text)
 
 
 def _opts(args: argparse.Namespace) -> dec.OptimizerOptions:
@@ -147,7 +131,7 @@ def _add_state_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--state", required=True, help="state JSON file")
     p.add_argument(
         "--tol",
-        type=_checked(qmat._check_tol, "tolerance"),
+        type=_checked(qmat._check_tol, "a tolerance"),
         default=None,
         help="validation tolerance override for reading the state (default 1e-9)",
     )
@@ -202,9 +186,9 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     certificate = dec.outcome_isometry(outcome)
     payload = _record(outcome, skip=("theta",))
     payload["isometry"] = json.loads(isometry_to_json(certificate))
-    _emit(json.dumps(payload, indent=2), args.out)
     if args.certificate:
         save_isometry(certificate, args.certificate)
+    _emit(json.dumps(payload, indent=2), args.out)
     return 0
 
 
@@ -219,12 +203,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from . import scenarios
 
     reports = scenarios.run_all(args.seed)
+    if args.out:
+        Path(args.out).write_text(json.dumps([asdict(r) for r in reports], indent=2) + "\n")
     for r in reports:
         worst = max(r.metrics.values()) if r.metrics else 0.0
         tag = "PASS" if r.passed else "FAIL"
         print(f"{tag} {r.name} worst={_cell(worst)} tol={_cell(r.tolerance)} seed={r.seed}")
-    if args.out:
-        Path(args.out).write_text(json.dumps([asdict(r) for r in reports], indent=2) + "\n")
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -22,7 +22,6 @@ command line); it is the distinguished IEEE infinity, detectable with
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Generator, Sequence
@@ -213,8 +212,9 @@ class OptimizerOptions:
     plus one from the sixth round on; always at least one.
     ``povm_elements`` sets the number of measurement outcomes for
     :func:`povm_upper` (default: the acted factor's dimension).  Counts must
-    be positive integers and ``seed`` a non-negative one; anything else
-    raises :class:`ValidationError`.  ``warm_theta``, if set, is the start of
+    be positive integers and ``seed`` a non-negative one, by the rule of
+    :func:`qmat.count`, and are stored as ``int``; anything else raises
+    :class:`ValidationError`.  ``warm_theta``, if set, is the start of
     restart 0: an isometry matrix of shape ``(d_b*d_e, d_a)``, finite and
     with orthonormal columns within ``qmat.UNITARITY_TOL`` (a search raises
     :class:`ValidationError` otherwise), such as an earlier outcome's
@@ -238,12 +238,8 @@ class OptimizerOptions:
         required = {"restarts": 1, "iterations": 1, "seed": 0}
         for name, least in (optional | required).items():
             value = getattr(self, name)
-            if value is None and name in optional:
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise ValidationError(
-                    f"{name} must be an integer >= {least}, got {value!r}"
-                )
+            if value is not None or name in required:
+                object.__setattr__(self, name, qmat.count(value, least, name))
 
 
 @dataclass(frozen=True)
@@ -253,7 +249,8 @@ class DecouplingOutcome:
     ``theta`` is the matrix of the certificate isometry, of shape
     ``(d_b*d_e, d_a)`` with orthonormal columns (:func:`outcome_isometry`
     wraps it with its output signature); ``i_rb``/``i_re`` are its canonical
-    scores.
+    scores, the larger first, except that an infeasible outcome with unequal
+    outputs reports the share of E, the one that leaks, as ``i_re``.
     """
 
     theta: np.ndarray
@@ -533,12 +530,17 @@ def _solve_restart(
     the sixth on; the loop stops after the fifth round once every constraint
     holds within ``FEASIBLE_TOL``, and after the eighth in any case.  With
     no constraint (equal outputs, unbounded privacy) there is one round of
-    ``opts.iterations // 8``.  A feasible restart within
-    ``LOWER_BOUND_SLACK`` of ``stop_value`` cannot usefully improve and
-    stops after the round that brought it there; its result says so in
+    ``opts.iterations // 8``.  A feasible restart whose larger share lies
+    within ``LOWER_BOUND_SLACK`` of ``stop_value`` cannot usefully improve
+    and stops after the round that brought it there; its result says so in
     ``at_bound``.  ``converged``: the last round ended stationary, or the
-    restart is at the bound.  A generator of the requests of
-    :func:`_lbfgs`; returns the restart's result.
+    restart is at the bound.  The result's ``i_rb``/``i_re`` are canonical,
+    the larger share first, for equal outputs and for every feasible
+    restart: with unequal outputs ``m_e`` may exceed ``m_b`` by up to
+    ``FEASIBLE_TOL`` and still be feasible.  An infeasible restart with
+    unequal outputs keeps ``i_re`` the share of E, the one that leaks.  A
+    generator of the requests of :func:`_lbfgs`; returns the restart's
+    result.
     """
     lam = [0.0] * len(_constraints(0.0, 0.0, eps, symmetric))
     rounds, per_round = (8, opts.iterations // 40) if lam else (1, opts.iterations // 8)
@@ -550,13 +552,12 @@ def _solve_restart(
         x, (m_b, m_e), converged = yield from _lbfgs(merit, x, iters)
         cons = _constraints(m_b, m_e, eps, symmetric)
         feasible = all(c <= FEASIBLE_TOL for c, _, _ in cons)
-        kept = max(m_b, m_e) if symmetric else m_b
-        at_bound = feasible and kept <= stop_value + LOWER_BOUND_SLACK
+        at_bound = feasible and max(m_b, m_e) <= stop_value + LOWER_BOUND_SLACK
         if at_bound or (feasible and k >= 4):
             break
         lam = [max(0.0, mult + mu * c) for mult, (c, _, _) in zip(lam, cons)]
 
-    if symmetric and m_e > m_b:
+    if m_e > m_b and (symmetric or feasible):
         m_b, m_e = m_e, m_b
     converged = converged or at_bound
     return dict(x=x, i_rb=m_b, i_re=m_e, feasible=feasible, converged=converged, at_bound=at_bound)

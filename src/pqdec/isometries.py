@@ -56,6 +56,7 @@ class Isometry:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
+        object.__setattr__(self, "in_dim", qmat.count(self.in_dim, 1, "input dimension"))
         if len(self.out_sig.dims) != 2:
             raise ValidationError(
                 f"output signature needs exactly two factors, got {self.out_sig.labels}"
@@ -136,8 +137,7 @@ def twirl_isometry(d: int, labels: tuple[str, str] = ("B", "E")) -> Isometry:
     input itself is moved wholesale into the second half.  ``d_B = d`` and
     ``d_E = d**2``.
     """
-    if d < 2:
-        raise ValidationError(f"need dimension >= 2, got {d}")
+    d = qmat.count(d, 2, "dimension")
     m = np.zeros((d * d * d, d), dtype=complex)
     s = 1.0 / np.sqrt(d)
     for b in range(d):
@@ -149,6 +149,7 @@ def twirl_isometry(d: int, labels: tuple[str, str] = ("B", "E")) -> Isometry:
 
 def fourier_basis(d: int) -> np.ndarray:
     """Columns are the Fourier basis kets ``e^k[j] = omega^(jk) / sqrt(d)``."""
+    d = qmat.count(d, 1, "dimension")
     j, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
     return np.exp(2j * np.pi * j * k / d) / np.sqrt(d)
 
@@ -161,8 +162,7 @@ def mub_shredder(d: int, labels: tuple[str, str] = ("B", "E")) -> Isometry:
     output factors, since every Fourier ket has uniform overlap with every
     computational ket.
     """
-    if d < 2:
-        raise ValidationError(f"need dimension >= 2, got {d}")
+    d = qmat.count(d, 2, "dimension")
     e = fourier_basis(d)
     # (b, e_out, a) <- sum_k e[b, k] conj(e[a, k]) e[e_out, k]
     m = np.einsum("bk,ak,ek->bea", e, e.conj(), e).reshape(d * d, d)
@@ -276,11 +276,9 @@ def isometry_to_json(v: Isometry) -> str:
 def isometry_from_json(text: str | bytes) -> Isometry:
     try:
         payload = json.loads(text)
-        d_in = int(payload["d_in"])
-        d_b = int(payload["d_B"])
-        d_e = int(payload["d_E"])
+        d_in, d_b, d_e = (qmat.count(payload[k], 1, k) for k in ("d_in", "d_B", "d_E"))
         entries = payload["matrix"]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
         raise ValidationError(f"malformed isometry document: {exc}") from exc
     m = qmat.matrix_from_entries(entries, d_b * d_e, d_in)
     iso = Isometry(m, _out_sig(d_b, d_e, ("B", "E")), d_in)

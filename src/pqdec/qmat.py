@@ -5,10 +5,17 @@ Matrices are plain ``numpy.ndarray`` objects in row-major order with
 whose first label names the most significant tensor factor: a matrix with
 signature ``DimSig((2, 3), ("R", "A"))`` acts on ``kron(C^2, C^3)`` and the
 flat index of basis vector ``|r, a>`` is ``r * 3 + a``.
+
+One rule, :func:`count`, decides what a dimension, a count or a seed is,
+wherever one enters the package: a whole, finite real number that is not a
+bool, at least a stated least value.  ``2``, ``2.0`` and ``np.int64(2)`` are
+the count 2; ``"2"``, ``True``, ``2.5``, ``nan`` and ``inf`` are rejected
+with a :class:`ValidationError` that names the value.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from math import isfinite, prod
 from typing import Iterable, Sequence
@@ -25,6 +32,7 @@ __all__ = [
     "UNITARITY_TOL",
     "DimSig",
     "ValidationError",
+    "count",
     "eig_hermitian",
     "kron",
     "matrix_from_entries",
@@ -49,7 +57,7 @@ class DimSig:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(_factor_dim(d) for d in self.dims))
+        object.__setattr__(self, "dims", tuple(count(d, 1, "factor dimension") for d in self.dims))
         object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
         if len(self.dims) != len(self.labels):
             raise ValidationError(
@@ -57,8 +65,6 @@ class DimSig:
             )
         if not self.dims:
             raise ValidationError("signature needs at least one factor")
-        if any(d < 1 for d in self.dims):
-            raise ValidationError(f"factor dimensions must be positive, got {self.dims}")
         if len(set(self.labels)) != len(self.labels):
             raise ValidationError(f"duplicate labels in {self.labels}")
 
@@ -86,15 +92,17 @@ class DimSig:
         return DimSig(tuple(d for d, _ in pairs), tuple(x for _, x in pairs))
 
 
-def _factor_dim(d) -> int:
-    """``d`` as an int, rejecting non-finite and non-integral values."""
-    try:
-        x = float(d)
-    except (TypeError, ValueError):
-        raise ValidationError(f"factor dimension {d!r} is not a number") from None
-    if not isfinite(x) or x != int(x):
-        raise ValidationError(f"factor dimension must be an integer, got {d!r}")
-    return int(x)
+def count(value, least: int, what: str) -> int:
+    """``value`` as an int, if it is a whole, finite real number, not a bool,
+    and at least ``least``; anything else raises :class:`ValidationError`
+    naming ``what`` and the value.  An empty ``what`` leaves the subject out,
+    for a caller that names it itself."""
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and isfinite(value) and value == int(value)
+    )
+    if isinstance(value, bool) or not whole or int(value) < least:
+        raise ValidationError(f"{what} must be an integer >= {least}, got {value!r}".lstrip())
+    return int(value)
 
 
 def _as_matrix(m) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 A :class:`DensityMatrix` couples a validated matrix with its factor
 signature; a :class:`PureState` does the same for a unit vector.  All random
-constructors take an integer seed and draw from a fresh PCG64 generator, so
-identical seeds give identical states; related samplers derive substream
-seeds by adding fixed offsets.
+constructors take a non-negative integer seed and draw from a fresh PCG64
+generator, so identical seeds give identical states; related samplers derive
+substream seeds by adding fixed offsets.
 """
 
 from __future__ import annotations
@@ -130,8 +130,7 @@ def merge_labels(
 
 def max_entangled(d: int, labels: tuple[str, str] = ("R", "A")) -> PureState:
     """Maximally entangled pure state ``sum_i |ii> / sqrt(d)`` on two d-level factors."""
-    if d < 2:
-        raise ValidationError(f"need dimension >= 2, got {d}")
+    d = qmat.count(d, 2, "dimension")
     v = np.zeros(d * d, dtype=complex)
     v[:: d + 1] = 1.0 / np.sqrt(d)
     return PureState(v, DimSig((d, d), labels))
@@ -163,8 +162,7 @@ def classically_correlated(
 
 def append_maximally_mixed(state: DensityMatrix, m: int, label: str) -> DensityMatrix:
     """Adjoin an uncorrelated maximally mixed m-level factor as the new last factor."""
-    if m < 1:
-        raise ValidationError(f"need dimension >= 1, got {m}")
+    m = qmat.count(m, 1, "dimension")
     if label in state.sig.labels:
         raise ValidationError(f"label {label!r} already present in {state.sig.labels}")
     out = qmat.kron(state.matrix, np.eye(m) / m)
@@ -177,6 +175,7 @@ def isotropic(d: int, f: float, labels: tuple[str, str] = ("R", "A")) -> Density
     uniform state on its orthocomplement."""
     if not 0.0 <= f <= 1.0:
         raise ValidationError(f"fidelity weight must lie in [0, 1], got {f}")
+    d = qmat.count(d, 2, "dimension")
     phi = to_density(max_entangled(d, labels)).matrix
     rest = (np.eye(d * d) - phi) / (d * d - 1)
     return as_density(f * phi + (1.0 - f) * rest, DimSig((d, d), labels))
@@ -184,6 +183,11 @@ def isotropic(d: int, f: float, labels: tuple[str, str] = ("R", "A")) -> Density
 
 def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def _rng(seed) -> np.random.Generator:
+    """A fresh PCG64 generator seeded with ``seed``, a non-negative integer."""
+    return np.random.default_rng(qmat.count(seed, 0, "seed"))
 
 
 def random_density(
@@ -198,13 +202,15 @@ def random_density(
     By default the state carries a single factor of dimension ``d``; pass
     ``labels`` and ``dims`` to view it as a composite system.
     """
-    if not 1 <= rank <= d:
+    d = qmat.count(d, 1, "dimension")
+    rank = qmat.count(rank, 1, "rank")
+    if rank > d:
         raise ValidationError(f"rank must lie in [1, {d}], got {rank}")
     dims = (d,) if dims is None else tuple(dims)
     sig = DimSig(dims, tuple(labels))
     if sig.side != d:
         raise ValidationError(f"dims {dims} do not multiply to {d}")
-    g = _ginibre(np.random.default_rng(seed), d, rank)
+    g = _ginibre(_rng(seed), d, rank)
     m = g @ g.conj().T
     return as_density(m / np.trace(m).real, sig)
 
@@ -213,16 +219,17 @@ def random_pure(
     dims: Sequence[int], seed: int, labels: Sequence[str] | None = None
 ) -> PureState:
     """Haar-distributed pure state on the composite system with the given dims."""
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(dims)
     labels = tuple(f"Q{i}" for i in range(len(dims))) if labels is None else tuple(labels)
-    side = prod(dims)
-    v = _ginibre(np.random.default_rng(seed), side, 1).reshape(-1)
-    return PureState(v / np.linalg.norm(v), DimSig(dims, labels))
+    sig = DimSig(dims, labels)
+    v = _ginibre(_rng(seed), sig.side, 1).reshape(-1)
+    return PureState(v / np.linalg.norm(v), sig)
 
 
 def random_unitary(d: int, seed: int) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    return qmat.q_factor(_ginibre(np.random.default_rng(seed), d, d))
+    d = qmat.count(d, 1, "dimension")
+    return qmat.q_factor(_ginibre(_rng(seed), d, d))
 
 
 def random_separable(
@@ -233,17 +240,16 @@ def random_separable(
     labels: tuple[str, str] = ("R", "A"),
 ) -> DensityMatrix:
     """Random convex mixture of product states ``sum_k p_k rho_k (x) tau_k``."""
-    if terms < 1:
-        raise ValidationError(f"need at least one product term, got {terms}")
-    rng = np.random.default_rng(seed)
-    p = rng.dirichlet(np.ones(terms))
-    out = np.zeros((d_r * d_a, d_r * d_a), dtype=complex)
+    sig = DimSig((d_r, d_a), labels)
+    terms = qmat.count(terms, 1, "number of product terms")
+    p = _rng(seed).dirichlet(np.ones(terms))
+    out = np.zeros((sig.side, sig.side), dtype=complex)
     for k in range(terms):
         # Substream seeds by fixed offsets from the master seed.
         left = random_density(d_r, d_r, seed + 1 + 2 * k).matrix
         right = random_density(d_a, d_a, seed + 2 + 2 * k).matrix
         out += p[k] * qmat.kron(left, right)
-    return as_density(out, DimSig((d_r, d_a), labels))
+    return as_density(out, sig)
 
 
 def purify(state: DensityMatrix, new_label: str = "S") -> PureState:

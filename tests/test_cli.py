@@ -243,6 +243,40 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--restarts", "--iterations", "--seed", "--dB", "--dE"])
+def test_bad_count_flags_are_usage_errors(capsys, flag):
+    least = 0 if flag == "--seed" else 1
+    for bad in ("2.5", "True", "nan", "inf", str(least - 1)):
+        with pytest.raises(SystemExit) as err:
+            main(["optimize", "--state", "unread.json", flag, bad])
+        assert err.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+    # The wording of the usage messages.
+    for bad, message in [
+        ("abc", "not an integer: 'abc'"),
+        (str(least - 1), f"must be an integer >= {least}, got {least - 1}"),
+    ]:
+        with pytest.raises(SystemExit):
+            main(["optimize", "--state", "unread.json", flag, bad])
+        assert f"argument {flag}: {message}\n" in capsys.readouterr().err
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_keeps_output_files(tmp_path, monkeypatch):
+    # As in `pqdec optimize ... | head -1`: the files are written before printing.
+    bell = make_bell(tmp_path)
+    out, cert = tmp_path / "out.json", tmp_path / "cert.json"
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    argv = ["optimize", "--state", bell, "--restarts", "2", "--iterations", "100"]
+    assert main(argv + ["--out", str(out), "--certificate", str(cert)]) == 2
+    i_rb, _, _ = decoupling_scores(apply_isometry(load_state(bell), load_isometry(cert)))
+    assert abs(json.loads(out.read_text())["i_rb"] - i_rb) <= 1e-9
+
+
 def test_exit_codes(tmp_path, capsys):
     bell = make_bell(tmp_path)
     # Unknown label: usage error.

@@ -299,6 +299,18 @@ class TestOptimize:
         assert abs(i_rb - out.i_rb) <= 1e-9
         assert abs(i_re - out.i_re) <= 1e-9
 
+    def test_unequal_outputs_give_canonical_scores(self):
+        # A feasible restart may end with I(R:E) up to FEASIBLE_TOL above
+        # I(R:B); it used to be reported in that order, which a replay
+        # through decoupling_scores does not reproduce.
+        rho = random_density(4, 2, 0, labels=("R", "A"), dims=(2, 2))
+        opts = OptimizerOptions(d_b=2, d_e=3, restarts=4, iterations=400, seed=0)
+        out = optimize_xi(rho, 0.05, opts)
+        assert out.feasible and out.i_rb >= out.i_re
+        i_rb, i_re, _ = decoupling_scores(apply_isometry(rho, outcome_isometry(out)))
+        assert abs(i_rb - out.i_rb) <= 1e-9
+        assert abs(i_re - out.i_re) <= 1e-9
+
     def test_forced_leak_is_reported_infeasible(self):
         opts = OptimizerOptions(restarts=2, iterations=200, seed=0, d_b=1, d_e=2)
         out = optimize_xi(BELL, 0.5, opts)

@@ -227,6 +227,12 @@ def test_json_rejects_malformed_documents():
     for matrix in ('[["a", 0]]', "5", "[[0.25]]"):
         with pytest.raises(ValidationError):
             isometry_from_json(f'{{"d_in": 1, "d_B": 1, "d_E": 1, "matrix": {matrix}}}')
+    # A truncating read used to load "d_in": 2.9 as a 2-dimensional input.
+    for key in ("d_in", "d_B", "d_E"):
+        doc = json.loads(isometry_to_json(mub_shredder(2)))
+        doc[key] = 2.9
+        with pytest.raises(ValidationError, match=f"{key} must be an integer >= 1, got 2.9"):
+            isometry_from_json(json.dumps(doc))
 
 
 def test_json_rejects_non_finite_entries():

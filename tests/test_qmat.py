@@ -1,11 +1,19 @@
+import json
+import math
+import re
+
 import numpy as np
 import pytest
 
+from pqdec import isometries as iso
+from pqdec import states as st
+from pqdec.decoupling import OptimizerOptions
 from pqdec.qmat import (
     DimSig,
     ValidationError,
     eig_hermitian,
     kron,
+    matrix_to_entries,
     partial_trace,
     q_factor,
     trace_distance,
@@ -249,3 +257,73 @@ class TestQFactor:
         stacked = q_factor(ms)
         for m, q in zip(ms, stacked):
             assert q.tobytes() == q_factor(m).tobytes()
+
+
+def _side(n):
+    """``n`` as a matrix side where the count rule accepts it, else 2."""
+    return int(n) if n in (2, 3) else 2
+
+
+def _isometry_field(key):
+    """Load the identity isometry from a document whose ``key`` is ``n``."""
+
+    def load(n):
+        k = _side(n)
+        doc = {"d_in": k, "d_B": 1, "d_E": 1, "matrix": matrix_to_entries(np.eye(k))}
+        doc["d_E" if key == "d_E" else "d_B"] = k
+        doc[key] = n
+        v = iso.isometry_from_json(json.dumps(doc, default=int))
+        return {"d_in": v.in_dim, "d_B": v.d_b, "d_E": v.d_e}[key]
+
+    return load
+
+
+def _option(name):
+    return lambda n: getattr(OptimizerOptions(**{name: n}), name)
+
+
+_BELL = st.to_density(st.max_entangled(2))
+
+# Every entry point that takes a count from outside: the call, which returns
+# the count it stored or the bytes of what it drew, and the least count.
+COUNT_ENTRY_POINTS = {
+    "DimSig": (lambda n: DimSig((n, 2), ("R", "A")).dims[0], 1),
+    **{
+        f"OptimizerOptions.{f}": (_option(f), 1)
+        for f in ("restarts", "iterations", "d_b", "d_e", "povm_elements")
+    },
+    "OptimizerOptions.seed": (_option("seed"), 0),
+    **{f"isometry_from_json.{k}": (_isometry_field(k), 1) for k in ("d_in", "d_B", "d_E")},
+    "max_entangled": (lambda n: st.max_entangled(n).sig.dims[0], 2),
+    "isotropic": (lambda n: st.isotropic(n, 0.9).sig.dims[0], 2),
+    "twirl_isometry": (lambda n: iso.twirl_isometry(n).in_dim, 2),
+    "mub_shredder": (lambda n: iso.mub_shredder(n).in_dim, 2),
+    "fourier_basis": (lambda n: iso.fourier_basis(n).shape[0], 1),
+    "Isometry.in_dim": (
+        lambda n: iso.Isometry(np.eye(9, _side(n)), DimSig((3, 3), "BE"), n).in_dim,
+        1,
+    ),
+    "append_maximally_mixed": (lambda n: st.append_maximally_mixed(_BELL, n, "X").sig.dims[-1], 1),
+    "random_separable.terms": (lambda n: st.random_separable(2, 2, n, 0).matrix.tobytes(), 1),
+    "random_separable.d_r": (lambda n: st.random_separable(n, 2, 1, 0).sig.dims[0], 1),
+    "random_density.d": (lambda n: st.random_density(n, 1, 0).sig.dims[0], 1),
+    "random_density.rank": (lambda n: st.random_density(3, n, 0).matrix.tobytes(), 1),
+    "random_pure.dims": (lambda n: st.random_pure((n, 2), 0).sig.dims[0], 1),
+    "random_unitary.d": (lambda n: st.random_unitary(n, 0).shape[0], 1),
+    "random_density.seed": (lambda n: st.random_density(2, 2, n).matrix.tobytes(), 0),
+    "random_pure.seed": (lambda n: st.random_pure((2,), n).vector.tobytes(), 0),
+    "random_unitary.seed": (lambda n: st.random_unitary(2, n).tobytes(), 0),
+    "random_separable.seed": (lambda n: st.random_separable(2, 2, 2, n).matrix.tobytes(), 0),
+}
+
+
+@pytest.mark.parametrize("name", COUNT_ENTRY_POINTS)
+def test_count_rule(name):
+    # One rule everywhere: whole, finite, real, not a bool, at least the least.
+    call, least = COUNT_ENTRY_POINTS[name]
+    for bad in (2.5, True, "2", math.nan, math.inf, least - 1):
+        with pytest.raises(ValidationError, match=re.escape(repr(bad))):
+            call(bad)
+    for good in (2.0, np.int64(3)):
+        got, want = call(good), call(int(good))
+        assert got == want and type(got) is type(want)
