@@ -8,7 +8,7 @@ output carries 12 significant digits, an unbounded privacy level is spelled
 ``inf``, and a fixed command line reproduces its output byte for byte.
 
 Exit codes: 0 success, 1 failed verification, 2 usage errors, 3 numerical
-validation failures.
+validation failures, 141 (128 + SIGPIPE) a reader that closed stdout.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import numbers
+import os
 import sys
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
@@ -332,7 +333,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  Point its descriptor at the null device,
+        # so the flush at exit does not fail again, and exit as SIGPIPE would.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ValidationError as exc:
         print(f"pqdec: validation failure: {exc}", file=sys.stderr)
         return 3

@@ -49,6 +49,8 @@ MIN_DECREASE = 1e-13
 GRAD_TOL = 1e-9
 # (s, y) pairs L-BFGS keeps for its inverse-Hessian estimate.
 LBFGS_PAIRS = 8
+# Length of a restart's first step along -g, and the cap on later reset steps.
+RESET_STEP = 0.3
 # Kept shares this close to the best tie; optimize_xi takes the first restart.
 TIE_TOL = 1e-9
 
@@ -209,7 +211,10 @@ class OptimizerOptions:
     budget: at unbounded privacy with equal outputs a restart is one L-BFGS
     run of ``iterations // 8`` iterations; otherwise it runs five to eight
     augmented-Lagrangian rounds of ``iterations // 40`` iterations, half that
-    plus one from the sixth round on; always at least one.
+    plus one from the sixth round on; always at least one.  Each round after
+    the first goes on from the point where the round before it stopped,
+    without scoring it again, and its first step has the length of that
+    round's last accepted step, at most 0.3.
     ``povm_elements`` sets the number of measurement outcomes for
     :func:`povm_upper` (default: the acted factor's dimension).  Counts must
     be positive integers and ``seed`` a non-negative one, by the rule of
@@ -385,40 +390,44 @@ def _inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a, b).real)
 
 
-def _lbfgs(merit, p, iters):
-    """Riemannian limited-memory BFGS on ``merit`` from the point ``p``, at
-    most ``iters`` iterations.
+def _lbfgs(merit, start, iters, step):
+    """Riemannian limited-memory BFGS on ``merit`` from an evaluated start,
+    at most ``iters`` iterations.
 
-    A generator of evaluation requests: it yields a bare point, its start
-    ``p`` or a trial point ``x + a d``, and the caller sends back what
-    :meth:`_Scorer.evaluate` returns for it, so each trial point costs one
-    request.  ``merit`` maps the raw scores (I(R:B), I(R:E)) to ``(value,
-    d/dI(R:B), d/dI(R:E))``; it is called once per trial point, and the
-    merit's gradient ``c_b g_B + c_e g_E`` is formed only at an accepted
-    one.  Directions come from the two-loop recursion over the last
-    ``LBFGS_PAIRS`` (s, y) pairs (Nocedal & Wright, *Numerical
-    Optimization*, 2006, alg. 7.4), taken as ambient
-    differences of points and of gradients, and are projected onto the
-    tangent space at ``x``; with no pairs, or no descent, the pairs are
-    dropped and the step is ``-g`` scaled to length 0.3.  A step of length
+    ``start`` is ``(x, scores, grads)`` as :meth:`_Scorer.evaluate` returns
+    it for one point, so a start that was already scored is not scored
+    again.  A generator of evaluation requests: it yields a bare trial point
+    ``x + a d``, and the caller sends back what :meth:`_Scorer.evaluate`
+    returns for it, so each trial point costs one request.  ``merit`` maps
+    the raw scores (I(R:B), I(R:E)) to ``(value, d/dI(R:B), d/dI(R:E))``; it
+    is called once per point, and the merit's gradient ``c_b g_B + c_e g_E``
+    is formed only at the start and at an accepted point.  Directions come
+    from the two-loop recursion over the last ``LBFGS_PAIRS`` (s, y) pairs
+    (Nocedal & Wright, *Numerical Optimization*, 2006, alg. 7.4), taken as
+    ambient differences of points and of gradients, and are projected onto
+    the tangent space at ``x``; with no pairs, or no descent, the pairs are
+    dropped and the step is ``-g`` scaled to length ``step``, which each
+    accepted step ``a d`` sets to ``min(RESET_STEP, a |d|)``.  A step of length
     ``a`` along ``d`` goes to the retraction ``q_factor(x + a d)`` (Absil,
     Mahony & Sepulchre, *Optimization Algorithms on Matrix Manifolds*, 2008,
     sec. 4.1), and is halved, at most 30 times, until the Armijo condition
     (c = 1e-4) holds and the merit drops by more than ``MIN_DECREASE``.
-    Returns ``(x, scores, stationary)``, with the raw scores at the final
-    ``x``; ``stationary`` is set when the gradient norm falls below
-    ``GRAD_TOL``, when 30 halvings find no step that passes, or as soon as
-    a step's first-order decrease ``a |slope|`` is at most ``MIN_DECREASE``,
-    since from there on no trial can pass to first order.
+    Returns ``((x, scores, grads), stationary, step)``: the final accepted
+    point with its raw scores and the raw gradients of both scores there,
+    ready to start a run on another merit; ``stationary``, set when the
+    gradient norm falls below ``GRAD_TOL``, when 30 halvings find no step
+    that passes, or as soon as a step's first-order decrease ``a |slope|``
+    is at most ``MIN_DECREASE``, since from there on no trial can pass to
+    first order; and the reset length for the next run.
     """
-    x, scores, (g_b, g_e) = yield p
+    x, scores, grads = start
     value, c_b, c_e = merit(*scores)
-    g = c_b * g_b + c_e * g_e
+    g = c_b * grads[0] + c_e * grads[1]
     pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
     for _ in range(iters):
         gn = math.sqrt(_inner(g, g))
         if gn < GRAD_TOL:
-            return x, scores, True
+            return (x, scores, grads), True, step
         d = -g
         alphas = []
         for s, y, rho in reversed(pairs):
@@ -433,26 +442,27 @@ def _lbfgs(merit, p, iters):
         slope = _inner(g, d)
         if not pairs or slope >= 0.0:
             pairs.clear()
-            d = -g * (0.3 / gn)
-            slope = -0.3 * gn
+            d = -g * (step / gn)
+            slope = -step * gn
         a = 1.0
         for _ in range(30):
             if -a * slope <= MIN_DECREASE:
-                return x, scores, True
-            cand, trial, (g_b, g_e) = yield x + a * d
+                return (x, scores, grads), True, step
+            cand, trial, trial_grads = yield x + a * d
             v, c_b, c_e = merit(*trial)
             if v <= value + 1e-4 * a * slope and v < value - MIN_DECREASE:
                 break
             a *= 0.5
         else:
-            return x, scores, True
-        g_new = c_b * g_b + c_e * g_e
+            return (x, scores, grads), True, step
+        g_new = c_b * trial_grads[0] + c_e * trial_grads[1]
         s, y = cand - x, g_new - g
         sy = _inner(s, y)
         if sy > 0.0:
             pairs = pairs[-(LBFGS_PAIRS - 1) :] + [(s, y, 1.0 / sy)]
-        x, scores, value, g = cand, trial, v, g_new
-    return x, scores, False
+        step = min(RESET_STEP, a * math.sqrt(_inner(d, d)))
+        x, scores, grads, value, g = cand, trial, trial_grads, v, g_new
+    return (x, scores, grads), False, step
 
 
 def _measurement_start(basis: np.ndarray, d_a: int, d_b: int, d_e: int) -> np.ndarray | None:
@@ -525,7 +535,12 @@ def _solve_restart(
     """One restart from the isometry ``x``: L-BFGS rounds on an augmented Lagrangian.
 
     Round ``k`` minimizes :func:`_lagrangian` at ``mu = 200 * 10**k`` and
-    then updates each multiplier to ``max(0, lam + mu c)``.  Rounds get
+    then updates each multiplier to ``max(0, lam + mu c)``.  The restart asks
+    for ``x`` once; each round after the first starts from the evaluated
+    point ``(x, scores, grads)`` that the round before it returned, so a
+    start is never scored twice, and its reset step (see :func:`_lbfgs`)
+    has the length of the last accepted step, ``RESET_STEP`` at first,
+    carried from round to round.  Rounds get
     ``opts.iterations // 40`` L-BFGS iterations each, half that plus one from
     the sixth on; the loop stops after the fifth round once every constraint
     holds within ``FEASIBLE_TOL``, and after the eighth in any case.  With
@@ -545,11 +560,13 @@ def _solve_restart(
     lam = [0.0] * len(_constraints(0.0, 0.0, eps, symmetric))
     rounds, per_round = (8, opts.iterations // 40) if lam else (1, opts.iterations // 8)
     per_round = max(1, per_round)
+    point, step = (yield x), RESET_STEP
     for k in range(rounds):
         mu = 200.0 * 10.0**k
         merit = partial(_lagrangian, eps=eps, lam=lam, mu=mu, symmetric=symmetric)
         iters = per_round if k < 5 else per_round // 2 + 1
-        x, (m_b, m_e), converged = yield from _lbfgs(merit, x, iters)
+        point, converged, step = yield from _lbfgs(merit, point, iters, step)
+        x, (m_b, m_e), _ = point
         cons = _constraints(m_b, m_e, eps, symmetric)
         feasible = all(c <= FEASIBLE_TOL for c, _, _ in cons)
         at_bound = feasible and max(m_b, m_e) <= stop_value + LOWER_BOUND_SLACK

@@ -212,8 +212,10 @@ def bell_shredder(labels: tuple[str, str] = ("B", "E")) -> Isometry:
 def record_rows(n: int, d_e: int) -> np.ndarray:
     """Indices of the rows ``|k>_B (x) |k>_E``, ``k < n``, of a B (x) E
     output whose E factor has dimension ``d_e``: the rows on which a
-    measurement isometry records its outcome in both outputs."""
-    return np.arange(n) * (d_e + 1)
+    measurement isometry records its outcome in both outputs.  ``n`` and
+    ``d_e`` follow :func:`qmat.count`, with ``1 <= n <= d_e``."""
+    n = qmat.count(n, 1, "number of outcomes")
+    return np.arange(n) * (qmat.count(d_e, n, "d_E") + 1)
 
 
 def povm_isometry(p: RankOnePovm, labels: tuple[str, str] = ("B", "E")) -> Isometry:

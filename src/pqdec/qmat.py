@@ -51,14 +51,21 @@ class ValidationError(ValueError):
 
 @dataclass(frozen=True)
 class DimSig:
-    """Ordered dimensions and labels of the tensor factors of a composite system."""
+    """Ordered dimensions and labels of the tensor factors of a composite system.
+
+    Dimensions follow :func:`count` (at least 1); labels are distinct,
+    non-empty strings.  Anything else raises :class:`ValidationError`.
+    """
 
     dims: tuple[int, ...]
     labels: tuple[str, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(count(d, 1, "factor dimension") for d in self.dims))
-        object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
+        object.__setattr__(self, "labels", tuple(self.labels))
+        for x in self.labels:
+            if not isinstance(x, str) or not x:
+                raise ValidationError(f"labels must be non-empty strings, got {x!r}")
         if len(self.dims) != len(self.labels):
             raise ValidationError(
                 f"signature has {len(self.dims)} dims but {len(self.labels)} labels"

@@ -183,10 +183,11 @@ def bound_sandwich(
 ) -> list[SandwichRow]:
     """:func:`sandwich_row` on ``samples`` full-rank random states on
     ``dims = (d_R, d_A)``; sample ``k`` seeds its state and search with
-    ``seed + k``."""
-    d_r, d_a = dims
+    ``seed + k``.  Dimensions and ``samples`` follow :func:`qmat.count`
+    (at least 1)."""
+    d_r, d_a = (qmat.count(d, 1, "dimension") for d in dims)
     rows = []
-    for k in range(samples):
+    for k in range(qmat.count(samples, 1, "samples")):
         rho = st.random_density(d_r * d_a, d_r * d_a, seed + k, labels=("R", "A"), dims=(d_r, d_a))
         rows.append(sandwich_row(rho, seed + k, restarts, iterations, povm_slack, half_slack))
     return rows

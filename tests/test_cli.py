@@ -262,17 +262,35 @@ def test_bad_count_flags_are_usage_errors(capsys, flag):
 
 
 class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone, over the real descriptor ``fd``."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def fileno(self):
+        return self.fd
+
     def write(self, text):
         raise BrokenPipeError(32, "Broken pipe")
 
 
-def test_closed_stdout_keeps_output_files(tmp_path, monkeypatch):
-    # As in `pqdec optimize ... | head -1`: the files are written before printing.
+def test_closed_stdout_keeps_output_files(tmp_path, monkeypatch, capsys):
+    # As in `pqdec optimize ... | head -1`: the files are written before
+    # printing, and the closed pipe exits 141 in silence, with the
+    # descriptor pointed at the null device for the flush at exit.
     bell = make_bell(tmp_path)
-    out, cert = tmp_path / "out.json", tmp_path / "cert.json"
-    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    out, cert, fd_file = tmp_path / "out.json", tmp_path / "cert.json", tmp_path / "fd"
+    fd = os.open(fd_file, os.O_WRONLY | os.O_CREAT)
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
     argv = ["optimize", "--state", bell, "--restarts", "2", "--iterations", "100"]
-    assert main(argv + ["--out", str(out), "--certificate", str(cert)]) == 2
+    try:
+        assert main(argv + ["--out", str(out), "--certificate", str(cert)]) == 141
+        os.write(fd, b"late")
+    finally:
+        os.close(fd)
+    assert fd_file.read_bytes() == b""
+    assert capsys.readouterr().err == ""
     i_rb, _, _ = decoupling_scores(apply_isometry(load_state(bell), load_isometry(cert)))
     assert abs(json.loads(out.read_text())["i_rb"] - i_rb) <= 1e-9
 
@@ -379,8 +397,26 @@ def short_entry(doc):
     doc["matrix"][5] = [0.25]
 
 
+def number_labels(doc):
+    doc["labels"] = [1, 2]
+
+
+def empty_label(doc):
+    doc["labels"] = ["R", ""]
+
+
 @pytest.mark.parametrize(
-    "corrupt", [nan_entry, fractional_dim, nan_dim, text_entry, scalar_matrix, short_entry]
+    "corrupt",
+    [
+        nan_entry,
+        fractional_dim,
+        nan_dim,
+        text_entry,
+        scalar_matrix,
+        short_entry,
+        number_labels,
+        empty_label,
+    ],
 )
 def test_malformed_state_is_a_validation_failure(tmp_path, capsys, corrupt):
     doc = bell_document()

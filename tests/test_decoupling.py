@@ -454,11 +454,23 @@ class TestLbfgs:
     def merit(m_b, m_e):
         return m_b, 1.0, 0.0
 
+    @staticmethod
+    def phase_reply(c):
+        """Answers for f = c phi^2 / 2 in the phase of a 1 x 1 isometry x = e^(i phi)."""
+
+        def reply(p):
+            x = q_factor(p)
+            phi = float(np.angle(x[0, 0]))
+            return x, (0.5 * c * phi * phi, 0.0), np.stack([1j * c * phi * x, np.zeros_like(x)])
+
+        return reply
+
     def test_an_accepted_unit_step_costs_one_request(self):
         # The weighted trace f = Re tr(x^dag a x w) on 4 x 2 isometries,
-        # from a non-stationary start: each of the eight iterations takes
-        # its unit step, and the point it lands on arrives with its
-        # gradient, so the run asks about 1 + 8 points, each once.
+        # from an evaluated, non-stationary start: each of the eight
+        # iterations takes its unit step, and the point it lands on arrives
+        # with its gradient, so the run asks about 8 points, each once, and
+        # never about its start.
         a, w = np.diag(np.arange(1.0, 5.0)), np.diag([1.0, 2.0])
 
         def reply(p):
@@ -466,32 +478,80 @@ class TestLbfgs:
             g = dec._tangent(x, 2.0 * a @ x @ w)
             return x, (np.trace(x.conj().T @ a @ x @ w).real, 0.0), np.stack([g, np.zeros_like(g)])
 
-        (x, scores, stationary), asked = drive(
-            dec._lbfgs(self.merit, random_point(4, 2, 1), 8), reply
+        start = reply(random_point(4, 2, 1))
+        ((x, scores, grads), stationary, _), asked = drive(
+            dec._lbfgs(self.merit, start, 8, 0.3), reply
         )
-        assert len(asked) == 9 and not stationary
-        values = [reply(p)[1][0] for p in asked]
+        assert len(asked) == 8 and not stationary
+        assert not any(np.array_equal(q_factor(p), start[0]) for p in asked)
+        values = [start[1][0]] + [reply(p)[1][0] for p in asked]
         assert all(after < before for before, after in zip(values, values[1:]))
-        assert x.tobytes() == q_factor(asked[-1]).tobytes() and scores == reply(asked[-1])[1]
+        last = reply(asked[-1])
+        assert x.tobytes() == last[0].tobytes() and scores == last[1]
+        assert grads.tobytes() == last[2].tobytes()
 
     def test_a_search_that_cannot_pass_is_not_tried(self):
-        # A stiff quadratic in the phase of a 1 x 1 isometry x = e^(i phi),
-        # f = c phi^2 / 2 with c = 1e4.  The first step (length 0.3, which
+        # A stiff quadratic, c = 1e4.  The first step (length 0.3, which
         # the retraction turns into a phase change of atan(0.3)) lands 1e-9
         # from the minimum, where the gradient 1e-5 is above GRAD_TOL but the
         # secant step promises a decrease of only c phi^2 = 1e-14 <=
         # MIN_DECREASE, and every halving promises less.
-        c = 1e4
+        reply = self.phase_reply(1e4)
+        start = reply(np.exp(1j * (np.arctan(0.3) + 1e-9)).reshape(1, 1))
+        ((x, _, _), stationary, _), asked = drive(dec._lbfgs(self.merit, start, 50, 0.3), reply)
+        assert stationary and len(asked) <= 1
+        assert abs(np.angle(x[0, 0]) - 1e-9) <= 1e-15
+
+    def test_a_reset_steps_the_last_accepted_length(self):
+        # From phi = 0.1 at c = 10 the step of length 0.3 overshoots the
+        # minimum and its half, of length 0.15, is accepted.  A run started
+        # from that point with the returned length resets along -g by
+        # exactly that length, before retraction.
+        reply = self.phase_reply(10.0)
+        start = reply(np.exp(0.1j).reshape(1, 1))
+        (point, stationary, step), asked = drive(dec._lbfgs(self.merit, start, 1, 0.3), reply)
+        assert not stationary and len(asked) == 2
+        length = float(np.linalg.norm(asked[-1] - start[0]))
+        assert abs(step - length) <= 1e-15 and abs(step - 0.15) <= 1e-15
+        x, _, grads = point
+        _, asked = drive(dec._lbfgs(self.merit, point, 1, step), reply)
+        want = x - grads[0] * (step / np.linalg.norm(grads[0]))
+        assert np.abs(asked[0] - want).max() <= 1e-15
+
+    def test_a_constrained_restart_asks_for_its_start_once(self, monkeypatch):
+        # Every augmented-Lagrangian round after the first starts from the
+        # point, scores, gradients and step length the round before it
+        # returned, so the whole restart asks about its start only once.
+        rho = random_density(9, 9, 3, labels=("R", "A"), dims=(3, 3))
+        scorer = dec._Scorer(rho.matrix, 3, 3, 3, 3)
+        runs = []
+        lbfgs = dec._lbfgs
+
+        def recorded(merit, start, iters, step):
+            result = yield from lbfgs(merit, start, iters, step)
+            runs.append((start, step, result))
+            return result
 
         def reply(p):
-            x = q_factor(p)
-            phi = float(np.angle(x[0, 0]))
-            return x, (0.5 * c * phi * phi, 0.0), np.stack([1j * c * phi * x, np.zeros_like(x)])
+            x, scores, grads = scorer.evaluate(p[None])
+            return x[0], tuple(scores[0].tolist()), grads[0]
 
-        start = np.exp(1j * (np.arctan(0.3) + 1e-9)).reshape(1, 1)
-        (x, _, stationary), asked = drive(dec._lbfgs(self.merit, start, 50), reply)
-        assert stationary and len(asked) <= 2
-        assert abs(np.angle(x[0, 0]) - 1e-9) <= 1e-15
+        monkeypatch.setattr(dec, "_lbfgs", recorded)
+        x0 = random_point(9, 3, 5)
+        # At 2000 iterations some rounds end on a trial they reject.
+        opts = OptimizerOptions(iterations=2000)
+        result, asked = drive(dec._solve_restart(x0, 0.02, opts, True, 0.0), reply)
+        assert sum(np.array_equal(p, x0) for p in asked) == 1 and asked[0] is x0
+        assert len(runs) >= 5 and result["x"] is runs[-1][2][0][0]
+        assert runs[0][1] == 0.3
+        for (_, _, done), (start, step, _) in zip(runs, runs[1:]):
+            assert start is done[0] and step == done[2]
+        # Each round hands on the scores and gradients of its own final
+        # point, not those of a trial it rejected after it.
+        for _, _, ((x, scores, grads), _, _) in runs:
+            _, again, grads_again = reply(x)
+            assert np.allclose(scores, again, rtol=0, atol=1e-12)
+            assert np.allclose(grads, grads_again, rtol=0, atol=1e-9)
 
 
 class TestBatchedScorer:
@@ -738,6 +798,25 @@ class TestRatesSweep:
         unbounded = optimize_xi(BELL, UNBOUNDED, opts)
         for row in res.rows:
             assert abs(row.xi_raw - unbounded.i_rb) <= 2e-2
+
+    def test_constrained_sweep_evaluation_count(self, monkeypatch):
+        # The bench's 3x3 sweep at 4 x 600, seed 100000.  Rounds that each
+        # re-scored their start and reset to a step of length 0.3 made 616
+        # evaluate calls; handing each round its evaluated start and the
+        # last step length makes 425.  The gate is 0.85 x 616.
+        rho = random_density(9, 9, 3, labels=("R", "A"), dims=(3, 3))
+        calls = []
+        evaluate = dec._Scorer.evaluate
+
+        def counted(self, p):
+            calls.append(len(p))
+            return evaluate(self, p)
+
+        monkeypatch.setattr(dec._Scorer, "evaluate", counted)
+        opts = OptimizerOptions(restarts=4, iterations=600, seed=100_000)
+        res = rates_sweep(rho, [0.0, 0.02, 0.04, math.inf], opts)
+        assert all(row.feasible for row in res.rows)
+        assert len(calls) <= 0.85 * 616
 
     def test_grid_validation(self):
         with pytest.raises(ValidationError):

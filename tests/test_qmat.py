@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pqdec import isometries as iso
+from pqdec import scenarios as scn
 from pqdec import states as st
 from pqdec.decoupling import OptimizerOptions
 from pqdec.qmat import (
@@ -314,6 +315,10 @@ COUNT_ENTRY_POINTS = {
     "random_pure.seed": (lambda n: st.random_pure((2,), n).vector.tobytes(), 0),
     "random_unitary.seed": (lambda n: st.random_unitary(2, n).tobytes(), 0),
     "random_separable.seed": (lambda n: st.random_separable(2, 2, 2, n).matrix.tobytes(), 0),
+    "record_rows.n": (lambda n: iso.record_rows(n, 3).tolist(), 1),
+    "record_rows.d_e": (lambda n: iso.record_rows(1, n).tolist(), 1),
+    "bound_sandwich.dims": (lambda n: scn.bound_sandwich((2, n), 1, 0, 1, 1)[0].outcome.d_a, 1),
+    "bound_sandwich.samples": (lambda n: len(scn.bound_sandwich((2, 2), n, 0, 1, 1)), 1),
 }
 
 
