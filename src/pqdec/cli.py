@@ -8,7 +8,8 @@ output carries 12 significant digits, an unbounded privacy level is spelled
 ``inf``, and a fixed command line reproduces its output byte for byte.
 
 Exit codes: 0 success, 1 failed verification, 2 usage errors, 3 numerical
-validation failures, 141 (128 + SIGPIPE) a reader that closed stdout.
+validation failures, 4 an output file that could not be written, 141
+(128 + SIGPIPE) a reader that closed stdout.
 """
 
 from __future__ import annotations
@@ -110,11 +111,23 @@ def _grid_value(text: str) -> list[float]:
     return [v for v in (lo + k * step for k in range(int(span) + 2)) if v <= edge]
 
 
+class _WriteFailure(Exception):
+    """An output file that could not be written (exit 4)."""
+
+
+def _write(path: str, save, *args) -> None:
+    """Call ``save(*args)``, which writes ``path``; an ``OSError`` is a :class:`_WriteFailure`."""
+    try:
+        save(*args)
+    except OSError as exc:
+        raise _WriteFailure(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _emit(text: str, out: str | None) -> None:
     """Write ``out`` first, so that a reader closing stdout early cannot cost the file."""
     text = text if text.endswith("\n") else text + "\n"
     if out:
-        Path(out).write_text(text)
+        _write(out, Path(out).write_text, text)
     sys.stdout.write(text)
 
 
@@ -188,7 +201,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     payload = _record(outcome, skip=("theta",))
     payload["isometry"] = json.loads(isometry_to_json(certificate))
     if args.certificate:
-        save_isometry(certificate, args.certificate)
+        _write(args.certificate, save_isometry, certificate, args.certificate)
     _emit(json.dumps(payload, indent=2), args.out)
     return 0
 
@@ -205,7 +218,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     reports = scenarios.run_all(args.seed)
     if args.out:
-        Path(args.out).write_text(json.dumps([asdict(r) for r in reports], indent=2) + "\n")
+        text = json.dumps([asdict(r) for r in reports], indent=2) + "\n"
+        _write(args.out, Path(args.out).write_text, text)
     for r in reports:
         worst = max(r.metrics.values()) if r.metrics else 0.0
         tag = "PASS" if r.passed else "FAIL"
@@ -246,7 +260,7 @@ def _cmd_make_state(args: argparse.Namespace) -> int:
     else:
         d_r, d_a = args.dims
         state = st.random_separable(d_r, d_a, args.terms, args.seed)
-    st.save_state(state, args.out)
+    _write(args.out, st.save_state, state, args.out)
     return 0
 
 
@@ -346,6 +360,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"pqdec: validation failure: {exc}", file=sys.stderr)
         return 3
+    except _WriteFailure as exc:
+        print(f"pqdec: {exc}", file=sys.stderr)
+        return 4
     except (KeyError, ValueError, OSError) as exc:
         detail = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"pqdec: {detail}", file=sys.stderr)

@@ -287,8 +287,10 @@ class _Scorer:
     That ``rows`` chart is what keeps :func:`povm_upper` exactly on the
     family: a search over the whole matrix started there stays on it only
     in exact arithmetic, and rounding lets rows off the family grow.
-    Every step works on the whole stack at once, and each candidate's result
-    is the same, bit for bit, whatever else shares its stack.
+    Unequal outputs get the chart of rows ``(b, e)`` of the square
+    ``m x m`` output, ``m = max(d_b, d_e)``, which the swap of B and E maps
+    to itself.  Every step works on the whole stack at once, and each
+    candidate's result is the same, bit for bit, whatever else shares it.
     """
 
     def __init__(
@@ -302,8 +304,11 @@ class _Scorer:
     ):
         self.rho = rho
         self.dims = (d_r, d_a, d_b, d_e)
-        self.rows = rows
         self.n = d_b * d_e if rows is None else len(rows)
+        self.m = max(d_b, d_e)
+        if rows is None and d_b != d_e:
+            rows = (self.m * np.arange(d_b)[:, None] + np.arange(d_e)).ravel()
+        self.rows = rows
         rho_r = np.trace(rho.reshape(d_r, d_a, d_r, d_a), axis1=1, axis2=3)
         self.s_r = spectrum_entropy(np.linalg.eigvalsh(rho_r))
 
@@ -317,51 +322,40 @@ class _Scorer:
         Riemannian gradients there of I(R:B) and of I(R:E).  Each is the
         Euclidean gradient for the inner product ``Re tr(a^dag b)``,
         projected onto the tangent space at ``x[k]`` (see :func:`_tangent`).
-        The state goes through one product per candidate: the half product
-        ``(1 (x) x) rho`` of :func:`_conjugate` gives the conjugated state
-        for the scores and, contracted on its R-B and its R-E axes, the two
-        gradients, with no operator on the whole of R (x) B (x) E formed.
-        One eigendecomposition per marginal gives both its entropy and the
-        entropy's derivative.  Each entropy is differentiated as
-        :func:`spectrum_entropy` computes it, on the support of its marginal
-        only: eigenvalues at or below ``EIGENVALUE_CLAMP`` contribute zero to
-        the entropy and zero to its derivative.  At full rank this is the
-        exact derivative; on a rank-deficient marginal it is the derivative
-        of the clamped entropy, which stays finite where the unclamped one
-        diverges.
+        Only I(R:B) is computed, on a stack of ``2K``: each embedded
+        candidate ``w`` and its swap ``S w``, since I(R:E) at ``w`` is I(R:B)
+        at ``S w``, and its gradient is the one there with the rows permuted
+        back by ``S``.  The half product ``(1 (x) w) rho`` of
+        :func:`_conjugate` gives the conjugated state for the score and,
+        contracted on its R-B axes, the gradient, with no operator on the
+        whole of R (x) B (x) E formed.  One eigendecomposition per marginal
+        gives its entropy and the entropy's derivative, on the support of the
+        marginal as :func:`spectrum_entropy` sums it: eigenvalues at or below
+        ``EIGENVALUE_CLAMP`` contribute zero to both.  At full rank this is
+        the exact derivative; on a rank-deficient marginal it is that of the
+        clamped entropy, which stays finite where the unclamped one diverges.
         """
-        d_r, d_a, d_b, d_e = self.dims
+        (d_r, d_a, _, _), m = self.dims, self.m
         x = qmat.q_factor(p)
         k = len(x)
-        side = d_b * d_e
-        iso = x
+        w = x
         if self.rows is not None:
-            iso = np.zeros((k, side, d_a), dtype=complex)
-            iso[:, self.rows, :] = x
-        y, t = _conjugate(self.rho, d_r, d_a, iso)
-        t = t.reshape(k, d_r, d_b, d_e, d_r, d_b, d_e)
-        t_rb = np.trace(t, axis1=3, axis2=6)
-        t_re = np.trace(t, axis1=2, axis2=5)
-        s_rb, k_rb = _entropy_derivative(t_rb.reshape(k, d_r * d_b, d_r * d_b))
-        s_re, k_re = _entropy_derivative(t_re.reshape(k, d_r * d_e, d_r * d_e))
+            w = np.zeros((k, m * m, d_a), dtype=complex)
+            w[:, self.rows, :] = x
+        swapped = w.reshape(k, m, m, d_a).swapaxes(1, 2).reshape(k, m * m, d_a)
+        y, t = _conjugate(self.rho, d_r, d_a, np.concatenate([w, swapped]))
+        t_rb = np.trace(t.reshape(2 * k, d_r, m, m, d_r, m, m), axis1=3, axis2=6)
+        s_rb, k_rb = _entropy_derivative(t_rb.reshape(2 * k, d_r * m, d_r * m))
         s_b, k_b = _entropy_derivative(np.trace(t_rb, axis1=1, axis2=3))
-        s_e, k_e = _entropy_derivative(np.trace(t_re, axis1=1, axis2=3))
-        scores = np.stack([self.s_r + s_b - s_rb, self.s_r + s_e - s_re], axis=-1)
-        # dI(R:B) = tr(dt_b k_b) - tr(dt_rb k_rb); on R (x) B the two terms
-        # act as 1_R (x) k_b and k_rb.
-        eye_r = np.eye(d_r)[:, None, :, None]
-        a_rb = eye_r * k_b[:, None, :, None, :] - k_rb.reshape(k, d_r, d_b, d_r, d_b)
-        a_re = eye_r * k_e[:, None, :, None, :] - k_re.reshape(k, d_r, d_e, d_r, d_e)
+        scores = (self.s_r + s_b - s_rb).reshape(2, k).T
+        # dI(R:B) = tr(dt_b k_b) - tr(dt_rb k_rb) = tr(dt_rb a) on R (x) B, and
         # d tr(A t) = 2 Re tr(A (1 (x) dw) rho (1 (x) w)^dag) for Hermitian A,
-        # so the Euclidean gradient in w is z = 2 tr_R(A y): A = a_rb (x) 1_E
-        # for I(R:B) and A = a_re (x) 1_B for I(R:E), each contracting only
-        # its own axes of y, R and B, or R and E with B and E swapped.
-        cols = d_r * d_a
-        q_b = a_rb.reshape(k, d_r * d_b, d_r * d_b) @ y.reshape(k, d_r * d_b, d_e * cols)
-        y_e = y.reshape(k, d_r, d_b, d_e, cols).swapaxes(2, 3).reshape(k, d_r * d_e, d_b * cols)
-        q_e = (a_re.reshape(k, d_r * d_e, d_r * d_e) @ y_e).reshape(k, d_r, d_e, d_b, cols)
-        q = np.stack([q_b.reshape(k, d_r, d_b, d_e, cols), q_e.swapaxes(2, 3)], axis=1)
-        z = 2.0 * np.trace(q.reshape(k, 2, d_r, side, d_r, d_a), axis1=2, axis2=4)
+        # so the Euclidean gradient in w is z = 2 tr_R(A y) with A = a (x) 1_E.
+        a = np.eye(d_r)[:, None, :, None] * k_b[:, None, :, None, :]
+        a = a - k_rb.reshape(2 * k, d_r, m, d_r, m)
+        q = a.reshape(2 * k, d_r * m, d_r * m) @ y.reshape(2 * k, d_r * m, m * d_r * d_a)
+        z = 2.0 * np.trace(q.reshape(2, k, d_r, m, m, d_r, d_a), axis1=2, axis2=5)
+        z = np.stack([z[0], z[1].swapaxes(1, 2)], axis=1).reshape(k, 2, m * m, d_a)
         return x, scores, _tangent(x[:, None], z if self.rows is None else z[:, :, self.rows, :])
 
 
@@ -423,20 +417,19 @@ def _lbfgs(merit, start, iters, step):
     x, scores, grads = start
     value, c_b, c_e = merit(*scores)
     g = c_b * grads[0] + c_e * grads[1]
-    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
+    pairs: list[tuple[np.ndarray, np.ndarray, float, float]] = []
     for _ in range(iters):
         gn = math.sqrt(_inner(g, g))
         if gn < GRAD_TOL:
             return (x, scores, grads), True, step
         d = -g
         alphas = []
-        for s, y, rho in reversed(pairs):
+        for s, y, rho, _ in reversed(pairs):
             alphas.append(rho * _inner(s, d))
             d = d - alphas[-1] * y
         if pairs:
-            s, y, _ = pairs[-1]
-            d = d * (_inner(s, y) / _inner(y, y))
-        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            d = d * pairs[-1][3]  # gamma = s.y / y.y of the newest pair
+        for (s, y, rho, _), alpha in zip(pairs, reversed(alphas)):
             d = d + (alpha - rho * _inner(y, d)) * s
         d = _tangent(x, d)
         slope = _inner(g, d)
@@ -459,7 +452,7 @@ def _lbfgs(merit, start, iters, step):
         s, y = cand - x, g_new - g
         sy = _inner(s, y)
         if sy > 0.0:
-            pairs = pairs[-(LBFGS_PAIRS - 1) :] + [(s, y, 1.0 / sy)]
+            pairs = pairs[-(LBFGS_PAIRS - 1) :] + [(s, y, 1.0 / sy, sy / _inner(y, y))]
         step = min(RESET_STEP, a * math.sqrt(_inner(d, d)))
         x, scores, grads, value, g = cand, trial, trial_grads, v, g_new
     return (x, scores, grads), False, step

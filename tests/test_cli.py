@@ -317,6 +317,21 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_failed_write_exits_4(tmp_path, capsys):
+    # An output that cannot be written is neither a bad flag (2) nor a
+    # missing input; --out and --certificate alike, on any subcommand.
+    bell = make_bell(tmp_path)
+    nowhere = str(tmp_path / "missing" / "x.json")
+    assert main(["make-state", "bell", "--d", "2", "--out", nowhere]) == 4
+    assert f"cannot write {nowhere}" in capsys.readouterr().err
+    assert main(["bounds", "--state", bell, *FAST, "--out", nowhere]) == 4
+    good = str(tmp_path / "o.json")
+    assert main(["optimize", "--state", bell, *FAST, "--out", good, "--certificate", nowhere]) == 4
+    assert main(["entropy", "--state", nowhere]) == 2
+    assert not os.path.exists(nowhere)
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("eps", ["-1", "nan", "abc"])
 def test_bad_eps_is_a_usage_error(tmp_path, capsys, eps):
     bell = make_bell(tmp_path)

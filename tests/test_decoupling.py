@@ -584,13 +584,38 @@ class TestBatchedScorer:
             assert stacked == alone[:k]
 
     def test_scores_match_the_public_scoring_path(self):
-        rho = random_density(9, 9, 3, labels=("R", "A"), dims=(3, 3))
-        scorer = dec._Scorer(rho.matrix, 3, 3, 3, 3)
-        xs, scores, _ = scorer.evaluate(np.stack([random_point(9, 3, seed) for seed in range(3)]))
-        for x, (m_b, m_e) in zip(xs, scores):
-            out = apply_isometry(rho, Isometry(x, DimSig((3, 3), ("B", "E")), 3))
-            assert abs(m_b - mutual_information(out, "R", "B")) <= 1e-12
-            assert abs(m_e - mutual_information(out, "R", "E")) <= 1e-12
+        # Equal and unequal outputs, a one-dimensional B, and the
+        # measurement chart: the padded square output must not show.
+        for d_r, d_a, d_b, d_e, m in [
+            (3, 3, 3, 3, None), (2, 2, 2, 3, None), (2, 2, 3, 2, None),
+            (2, 2, 1, 3, None), (3, 2, 4, 5, None), (2, 2, 3, 3, 3),
+        ]:
+            rho = random_density(d_r * d_a, d_r * d_a, 3, labels=("R", "A"), dims=(d_r, d_a))
+            scorer = measurement_scorer(rho, m) if m else dec._Scorer(rho.matrix, d_r, d_a, d_b, d_e)
+            ps = np.stack([random_point(scorer.n, d_a, seed) for seed in range(3)])
+            xs, scores, _ = scorer.evaluate(ps)
+            for x, (m_b, m_e) in zip(xs, scores):
+                v = x
+                if m:
+                    v = np.zeros((d_b * d_e, d_a), dtype=complex)
+                    v[scorer.rows] = x
+                out = apply_isometry(rho, Isometry(v, DimSig((d_b, d_e), ("B", "E")), d_a))
+                assert abs(m_b - mutual_information(out, "R", "B")) <= 1e-12
+                assert abs(m_e - mutual_information(out, "R", "E")) <= 1e-12
+
+    @pytest.mark.parametrize("d_r, d_a, d", [(2, 2, 2), (3, 3, 3), (2, 3, 2)])
+    def test_swapping_the_outputs_swaps_the_scores(self, d_r, d_a, d):
+        # I(R:E) at V is I(R:B) at S V, S the swap of B and E, and its
+        # gradient is the one at S V with the rows permuted back by S.
+        rho = random_density(d_r * d_a, d_r * d_a, 5, labels=("R", "A"), dims=(d_r, d_a))
+        scorer = dec._Scorer(rho.matrix, d_r, d_a, d, d)
+        xs = np.stack([random_point(d * d, d_a, seed) for seed in range(3)])
+        swap = xs.reshape(3, d, d, d_a).swapaxes(1, 2).reshape(3, d * d, d_a)
+        _, scores, grads = scorer.evaluate(xs)
+        _, swapped_scores, swapped_grads = scorer.evaluate(swap)
+        back = swapped_grads[:, 0].reshape(3, d, d, d_a).swapaxes(1, 2).reshape(3, d * d, d_a)
+        assert np.abs(scores[:, 1] - swapped_scores[:, 0]).max() <= 1e-13
+        assert np.abs(grads[:, 1] - back).max() <= 1e-13
 
 
 class TestExactGradient:
