@@ -53,6 +53,9 @@ LBFGS_PAIRS = 8
 RESET_STEP = 0.3
 # Kept shares this close to the best tie; optimize_xi takes the first restart.
 TIE_TOL = 1e-9
+# Smoothing widths of the larger share, one per round, of an unconstrained
+# restart (equal outputs, unbounded privacy); see _lagrangian.
+SMOOTHING_WIDTHS = (1e-2, 1e-5, 2 * TIE_TOL)
 
 __all__ = [
     "BoundsReport",
@@ -208,13 +211,15 @@ class OptimizerOptions:
 
     ``d_b``/``d_e`` override the output dimensions (default: both equal the
     acted factor's dimension).  ``iterations`` is the per-restart descent
-    budget: at unbounded privacy with equal outputs a restart is one L-BFGS
-    run of ``iterations // 8`` iterations; otherwise it runs five to eight
-    augmented-Lagrangian rounds of ``iterations // 40`` iterations, half that
-    plus one from the sixth round on; always at least one.  Each round after
-    the first goes on from the point where the round before it stopped,
-    without scoring it again, and its first step has the length of that
-    round's last accepted step, at most 0.3.
+    budget: at unbounded privacy with equal outputs a restart runs one to
+    three L-BFGS rounds of ``iterations // 8`` iterations on the larger
+    share, smoothed ever more finely, and stops after the first round whose
+    smoothed value ends within ``TIE_TOL`` of the larger share; otherwise it
+    runs five to eight augmented-Lagrangian rounds of ``iterations // 40``
+    iterations, half that plus one from the sixth round on; always at least
+    one.  Each round after the first goes on from the point where the round
+    before it stopped, without scoring it again, and its first step has the
+    length of that round's last accepted step, at most 0.3.
     ``povm_elements`` sets the number of measurement outcomes for
     :func:`povm_upper` (default: the acted factor's dimension).  Counts must
     be positive integers and ``seed`` a non-negative one, by the rule of
@@ -496,17 +501,36 @@ def _constraints(m_b: float, m_e: float, eps: float, symmetric: bool):
 
 
 def _lagrangian(
-    m_b: float, m_e: float, eps: float, lam: Sequence[float], mu: float, symmetric: bool
+    m_b: float,
+    m_e: float,
+    eps: float,
+    lam: Sequence[float],
+    mu: float,
+    symmetric: bool,
+    delta: float = 0.0,
 ):
     """PHR augmented Lagrangian and its partial derivatives in ``m_b`` and ``m_e``.
 
     The objective is the larger share for symmetric outputs and ``m_b``
     otherwise; each constraint ``c <= 0`` of :func:`_constraints`, with its
     multiplier in ``lam``, adds ``(max(0, lam + mu c)^2 - lam^2) / (2 mu)``
-    (Nocedal & Wright, *Numerical Optimization*, 2006, sec. 17.4).  Returns
-    ``(value, d/dm_b, d/dm_e)``.
+    (Nocedal & Wright, *Numerical Optimization*, 2006, sec. 17.4).  With a
+    smoothing width ``delta > 0`` the larger share of symmetric outputs
+    becomes ``F - delta / 2``, where ``F = (m_b + m_e + sqrt(u^2 +
+    delta^2)) / 2``, ``u = m_b - m_e``, is the smoothed maximum (Nesterov,
+    *Math. Program.* 103, 2005): smooth across the kink ``m_b = m_e``, and
+    between ``max(m_b, m_e)`` and that plus ``delta / 2``.  The constant
+    shift changes no minimizer, and where the two shares are equal it makes
+    the value their common value bit for bit, with weights 1/2 on each
+    gradient.  ``delta = 0`` is the exact maximum.  Returns ``(value,
+    d/dm_b, d/dm_e)``.
     """
-    if symmetric and m_e > m_b:
+    if symmetric and delta > 0.0:
+        u = m_b - m_e
+        r = math.hypot(u, delta)
+        value = 0.5 * (m_b + m_e) + 0.5 * (r - delta)
+        d_b, d_e = 0.5 * (1.0 + u / r), 0.5 * (1.0 - u / r)
+    elif symmetric and m_e > m_b:
         value, d_b, d_e = m_e, 0.0, 1.0
     else:
         value, d_b, d_e = m_b, 1.0, 0.0
@@ -533,37 +557,48 @@ def _solve_restart(
     point ``(x, scores, grads)`` that the round before it returned, so a
     start is never scored twice, and its reset step (see :func:`_lbfgs`)
     has the length of the last accepted step, ``RESET_STEP`` at first,
-    carried from round to round.  Rounds get
-    ``opts.iterations // 40`` L-BFGS iterations each, half that plus one from
-    the sixth on; the loop stops after the fifth round once every constraint
-    holds within ``FEASIBLE_TOL``, and after the eighth in any case.  With
-    no constraint (equal outputs, unbounded privacy) there is one round of
-    ``opts.iterations // 8``.  A feasible restart whose larger share lies
-    within ``LOWER_BOUND_SLACK`` of ``stop_value`` cannot usefully improve
-    and stops after the round that brought it there; its result says so in
-    ``at_bound``.  ``converged``: the last round ended stationary, or the
-    restart is at the bound.  The result's ``i_rb``/``i_re`` are canonical,
-    the larger share first, for equal outputs and for every feasible
-    restart: with unequal outputs ``m_e`` may exceed ``m_b`` by up to
+    carried from round to round.  Rounds get ``opts.iterations // 40``
+    L-BFGS iterations each, half that plus one from the sixth on; the loop
+    stops after the fifth round once every constraint holds within
+    ``FEASIBLE_TOL``, and after the eighth in any case.  With no constraint
+    (equal outputs, unbounded privacy) round ``k`` instead minimizes the
+    larger share smoothed to width ``SMOOTHING_WIDTHS[k]`` (``delta`` of
+    :func:`_lagrangian`) in ``opts.iterations // 8`` iterations, and the
+    loop stops after the first round whose slack ``(delta + |u| - sqrt(u^2 +
+    delta^2)) / 2``, ``u = m_b - m_e``, by which the smoothed value lies
+    below the larger share, is at most ``TIE_TOL``.  The slack is zero where
+    the shares are equal, so a restart on the measurement chart runs one
+    round, and the last width always meets the rule.  A feasible restart
+    whose larger share lies within ``LOWER_BOUND_SLACK`` of ``stop_value``
+    cannot usefully improve and stops after the round that brought it
+    there; its result says so in ``at_bound``.  ``converged``: the last
+    round ended stationary, or the restart is at the bound.  The result's
+    ``i_rb``/``i_re`` are the raw shares, never smoothed, and canonical, the
+    larger share first, for equal outputs and for every feasible restart:
+    with unequal outputs ``m_e`` may exceed ``m_b`` by up to
     ``FEASIBLE_TOL`` and still be feasible.  An infeasible restart with
     unequal outputs keeps ``i_re`` the share of E, the one that leaks.  A
     generator of the requests of :func:`_lbfgs`; returns the restart's
     result.
     """
     lam = [0.0] * len(_constraints(0.0, 0.0, eps, symmetric))
-    rounds, per_round = (8, opts.iterations // 40) if lam else (1, opts.iterations // 8)
-    per_round = max(1, per_round)
+    if lam:
+        widths, per_round = (0.0,) * 8, max(1, opts.iterations // 40)
+    else:
+        widths, per_round = SMOOTHING_WIDTHS, max(1, opts.iterations // 8)
     point, step = (yield x), RESET_STEP
-    for k in range(rounds):
+    for k, delta in enumerate(widths):
         mu = 200.0 * 10.0**k
-        merit = partial(_lagrangian, eps=eps, lam=lam, mu=mu, symmetric=symmetric)
+        merit = partial(_lagrangian, eps=eps, lam=lam, mu=mu, symmetric=symmetric, delta=delta)
         iters = per_round if k < 5 else per_round // 2 + 1
         point, converged, step = yield from _lbfgs(merit, point, iters, step)
         x, (m_b, m_e), _ = point
         cons = _constraints(m_b, m_e, eps, symmetric)
         feasible = all(c <= FEASIBLE_TOL for c, _, _ in cons)
         at_bound = feasible and max(m_b, m_e) <= stop_value + LOWER_BOUND_SLACK
-        if at_bound or (feasible and k >= 4):
+        u = abs(m_b - m_e)
+        settled = k >= 4 if lam else 0.5 * (delta + u - math.hypot(u, delta)) <= TIE_TOL
+        if at_bound or (feasible and settled):
             break
         lam = [max(0.0, mult + mu * c) for mult, (c, _, _) in zip(lam, cons)]
 

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from pqdec.scenarios import bell_line
 from pqdec.states import (
     DensityMatrix,
     classically_correlated,
+    isotropic,
     max_entangled,
     random_density,
     random_pure,
@@ -44,6 +46,20 @@ from pqdec.states import (
 BELL = to_density(max_entangled(2))
 CC_BIT = classically_correlated([0.5, 0.5], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
 FAST = OptimizerOptions(restarts=4, iterations=400, seed=0)
+
+
+@pytest.fixture
+def evaluate_calls(monkeypatch):
+    """The stack size of every batched evaluate call made from here on."""
+    calls = []
+    evaluate = dec._Scorer.evaluate
+
+    def counted(self, p):
+        calls.append(len(p))
+        return evaluate(self, p)
+
+    monkeypatch.setattr(dec._Scorer, "evaluate", counted)
+    return calls
 
 
 def product_state():
@@ -220,6 +236,59 @@ class TestOptimize:
         assert runs[0][1] >= 2
         assert all(run == runs[0] for run in runs[1:])
 
+    def test_smoothing_rounds_identical_for_any_batch_width(self, batch_width, monkeypatch):
+        # At 10 L-BFGS iterations per round one restart ends its first round
+        # off the kink and asks for trial points at every smoothing width,
+        # while the others stop after one round, so at batch widths 1, 2 and
+        # 3 the restarts change their smoothing width at different batches.
+        rho = random_density(4, 4, 32, labels=("R", "A"), dims=(2, 2))
+        opts = OptimizerOptions(restarts=4, iterations=80, seed=7)
+        asked = []  # the smoothing width of each trial point
+        lbfgs = dec._lbfgs
+
+        def recorded(merit, start, iters, step):
+            search, reply = lbfgs(merit, start, iters, step), None
+            try:
+                while True:
+                    ask = search.send(reply)
+                    asked.append(merit.keywords["delta"])
+                    reply = yield ask
+            except StopIteration as done:
+                return done.value
+
+        monkeypatch.setattr(dec, "_lbfgs", recorded)
+        runs = []
+        for width in (1, 2, 3, None):
+            batch_width(width)
+            out = optimize_xi(rho, UNBOUNDED, opts)
+            runs.append((out.theta.tobytes(), out.restarts_used, out.i_rb, out.i_re, out.converged))
+        assert runs[0][1] == 4 and set(asked) == set(dec.SMOOTHING_WIDTHS)
+        assert all(run == runs[0] for run in runs[1:])
+
+    def test_answers_pinned_at_unbounded_privacy(self):
+        # i_rb before the larger share was smoothed, when a restart was one
+        # L-BFGS run on the exact maximum.
+        pinned = [
+            (BELL, 1.0),
+            (isotropic(3, 0.5), 0.2555284977961909),
+            (random_density(9, 1, 5, labels=("R", "A"), dims=(3, 3)), 1.0722657451640933),
+            (random_density(16, 16, 7, labels=("R", "A"), dims=(4, 4)), 0.03659327667424961),
+        ]
+        for rho, i_rb in pinned:
+            out = optimize_xi(rho, UNBOUNDED, FAST)
+            assert out.feasible and out.converged
+            assert abs(out.i_rb - i_rb) <= 1e-12
+
+    def test_unconstrained_search_evaluation_count(self, evaluate_calls):
+        # The 40 study_2x2 states of the bench at seed 1 (criterion-06
+        # states, 6 x 800).  One L-BFGS run on the exact larger share
+        # zigzagged across the kink m_b = m_e and made 2160 evaluate calls;
+        # rounds on the smoothed share make 979.  The gate is 0.6 x 2160.
+        for seed in range(100_000, 100_040):
+            rho = random_density(4, 4, seed, labels=("R", "A"), dims=(2, 2))
+            optimize_xi(rho, UNBOUNDED, OptimizerOptions(restarts=6, iterations=800, seed=seed))
+        assert len(evaluate_calls) <= 0.6 * 2160
+
     @pytest.mark.parametrize("width", [1, 2, 3, None])
     def test_stop_rule_drops_later_restarts_at_any_width(self, batch_width, width):
         # Warm-started at the optimum, restart 0 meets the stop rule; the
@@ -272,22 +341,14 @@ class TestOptimize:
             assert out.feasible
             assert out.i_rb <= 0.2375
 
-    def test_live_restarts_are_bounded(self, monkeypatch):
+    def test_live_restarts_are_bounded(self, monkeypatch, evaluate_calls):
         # 40 restarts run at most LOCKSTEP_WIDTH = 32 at once, and the result
         # is the one a serial run gives.
         rho = random_density(4, 4, 31, labels=("R", "A"), dims=(2, 2))
         opts = OptimizerOptions(restarts=40, iterations=16, seed=3)
-        widest = []
-        evaluate = dec._Scorer.evaluate
-
-        def counted(self, p):
-            widest.append(len(p))
-            return evaluate(self, p)
-
-        monkeypatch.setattr(dec._Scorer, "evaluate", counted)
         out = optimize_xi(rho, UNBOUNDED, opts)
         assert out.restarts_used == 40
-        assert max(widest) == dec.LOCKSTEP_WIDTH == 32
+        assert max(evaluate_calls) == dec.LOCKSTEP_WIDTH == 32
         run = dec._run_restarts
         monkeypatch.setattr(dec, "_run_restarts", lambda *args: run(*args, width=1))
         assert optimize_xi(rho, UNBOUNDED, opts).theta.tobytes() == out.theta.tobytes()
@@ -603,6 +664,22 @@ class TestBatchedScorer:
                 assert abs(m_b - mutual_information(out, "R", "B")) <= 1e-12
                 assert abs(m_e - mutual_information(out, "R", "E")) <= 1e-12
 
+    def test_measurement_chart_scores_both_outputs_alike(self):
+        # The swap of B and E fixes the record rows |kk>, so on the chart of
+        # povm_upper the two shares and their gradients are equal bit for
+        # bit, the smoothed larger share is their common value and its
+        # slack is zero: a measurement restart runs one round.
+        for d_r, d_a, m in [(2, 2, 2), (2, 2, 3), (3, 3, 3)]:
+            rho = random_density(d_r * d_a, d_r * d_a, 7, labels=("R", "A"), dims=(d_r, d_a))
+            scorer = measurement_scorer(rho, m)
+            ps = np.stack([random_point(m, d_a, seed) for seed in range(4)])
+            _, scores, grads = scorer.evaluate(ps)
+            assert np.array_equal(scores[:, 0], scores[:, 1])
+            assert np.array_equal(grads[:, 0], grads[:, 1])
+            for m_b, m_e in scores:
+                smoothed = dec._lagrangian(m_b, m_e, UNBOUNDED, [], 1.0, True, dec.SMOOTHING_WIDTHS[0])
+                assert smoothed == (m_b, 0.5, 0.5)
+
     @pytest.mark.parametrize("d_r, d_a, d", [(2, 2, 2), (3, 3, 3), (2, 3, 2)])
     def test_swapping_the_outputs_swaps_the_scores(self, d_r, d_a, d):
         # I(R:E) at V is I(R:B) at S V, S the swap of B and E, and its
@@ -755,14 +832,42 @@ class TestExactGradient:
     def test_lagrangian_partials(self, m_b, m_e, eps, lam, mu, symmetric):
         # Points where the larger share and each max(0, lam + mu c) are
         # smooth; the last three cases of each kind have a term active.
-        h = 1e-6
+        self.assert_partials(partial(dec._lagrangian, eps=eps, lam=lam, mu=mu, symmetric=symmetric), m_b, m_e)
 
-        def f(b, e):
-            return dec._lagrangian(b, e, eps, lam, mu, symmetric)[0]
+    @pytest.mark.parametrize(
+        "m_b, m_e, delta, h",
+        [
+            (0.4, 0.4, 1e-2, 1e-6),
+            (0.4, 0.4, 2e-9, 1e-6),
+            (0.403, 0.4, 1e-2, 1e-6),
+            (0.4, 0.403, 1e-2, 1e-6),
+            (0.4, 0.400006, 1e-5, 1e-9),
+            (0.6, 0.1, 2e-9, 1e-6),
+            (0.1, 0.6, 1e-5, 1e-6),
+        ],
+    )
+    def test_smoothed_lagrangian_partials(self, m_b, m_e, delta, h):
+        # The larger share smoothed to width delta, on the kink m_b = m_e,
+        # inside the smoothing zone (h well below delta there) and far from
+        # it.  On the kink the difference quotient is exact at any h, since
+        # the smoothing term is even in m_b - m_e.
+        merit = partial(dec._lagrangian, eps=UNBOUNDED, lam=[], mu=1.0, symmetric=True, delta=delta)
+        self.assert_partials(merit, m_b, m_e, h)
+        value, d_b, d_e = merit(m_b, m_e)
+        assert 0.0 <= d_b <= 1.0 and 0.0 <= d_e <= 1.0 and abs(d_b + d_e - 1.0) <= 1e-15
+        # The merit is F - delta / 2, F the smoothed maximum, which lies in
+        # [max, max + delta / 2].
+        top = max(m_b, m_e)
+        assert top - 1e-15 <= value + delta / 2 <= top + delta / 2 + 1e-15
+        if m_b == m_e:
+            assert value == m_b and d_b == d_e == 0.5
 
-        _, d_b, d_e = dec._lagrangian(m_b, m_e, eps, lam, mu, symmetric)
-        approx_b = (f(m_b + h, m_e) - f(m_b - h, m_e)) / (2.0 * h)
-        approx_e = (f(m_b, m_e + h) - f(m_b, m_e - h)) / (2.0 * h)
+    @staticmethod
+    def assert_partials(merit, m_b, m_e, h=1e-6):
+        """The partial derivatives of ``merit`` against central differences."""
+        _, d_b, d_e = merit(m_b, m_e)
+        approx_b = (merit(m_b + h, m_e)[0] - merit(m_b - h, m_e)[0]) / (2.0 * h)
+        approx_e = (merit(m_b, m_e + h)[0] - merit(m_b, m_e - h)[0]) / (2.0 * h)
         assert abs(d_b - approx_b) <= 1e-6 * max(1.0, abs(d_b))
         assert abs(d_e - approx_e) <= 1e-6 * max(1.0, abs(d_e))
 
@@ -824,24 +929,16 @@ class TestRatesSweep:
         for row in res.rows:
             assert abs(row.xi_raw - unbounded.i_rb) <= 2e-2
 
-    def test_constrained_sweep_evaluation_count(self, monkeypatch):
+    def test_constrained_sweep_evaluation_count(self, evaluate_calls):
         # The bench's 3x3 sweep at 4 x 600, seed 100000.  Rounds that each
         # re-scored their start and reset to a step of length 0.3 made 616
         # evaluate calls; handing each round its evaluated start and the
         # last step length makes 425.  The gate is 0.85 x 616.
         rho = random_density(9, 9, 3, labels=("R", "A"), dims=(3, 3))
-        calls = []
-        evaluate = dec._Scorer.evaluate
-
-        def counted(self, p):
-            calls.append(len(p))
-            return evaluate(self, p)
-
-        monkeypatch.setattr(dec._Scorer, "evaluate", counted)
         opts = OptimizerOptions(restarts=4, iterations=600, seed=100_000)
         res = rates_sweep(rho, [0.0, 0.02, 0.04, math.inf], opts)
         assert all(row.feasible for row in res.rows)
-        assert len(calls) <= 0.85 * 616
+        assert len(evaluate_calls) <= 0.85 * 616
 
     def test_grid_validation(self):
         with pytest.raises(ValidationError):
