@@ -6,13 +6,9 @@ I(R:B) + I(R:E) always reproduces I(R:A) on pure inputs, and the question is
 how small the kept share I(R:B) can be made while the discarded share I(R:E)
 stays below a privacy level eps and below I(R:B) itself.  This module
 provides the closed-form bounds on that minimum, a multistart optimizer
-that searches the isometry family directly (each restart runs rounds of
-L-BFGS on the exact gradient of an augmented Lagrangian, updating the
-constraint multipliers between rounds, and the restarts advance in
-lockstep, each round one batched call that retracts every restart's trial
-point and returns its scores and their gradients), a measurement-isometry
-variant, and a sweep of the trade-off curve over a grid
-of privacy levels.
+that searches the isometry family directly (:func:`optimize_xi`), a
+measurement-isometry variant, and a sweep of the trade-off curve over a
+grid of privacy levels, each point solved at its own level.
 
 The unbounded privacy level is ``float("inf")`` (spelled ``inf`` on the
 command line); it is the distinguished IEEE infinity, detectable with
@@ -474,8 +470,10 @@ def _measurement_start(basis: np.ndarray, d_a: int, d_b: int, d_e: int) -> np.nd
 
 def _warm_start(opts: OptimizerOptions, d_a: int, d_b: int, d_e: int) -> np.ndarray:
     """Start of restart 0: a copy of ``opts.warm_theta`` if set, else the
-    first ``d_a`` columns of the identity.  Raises :class:`ValidationError`
-    unless the warm start is a ``(d_b*d_e, d_a)`` isometry matrix."""
+    first ``d_a`` columns of the identity; with equal outputs and ``d_e >=
+    d_a`` that sends A into E, the one start feasible at every ``eps``, at
+    I(R:A) after one evaluation.  Raises :class:`ValidationError` unless the
+    warm start is a ``(d_b*d_e, d_a)`` isometry matrix."""
     if opts.warm_theta is None:
         return np.eye(d_b * d_e, d_a, dtype=complex)
     try:
@@ -802,6 +800,12 @@ def bounds_report(
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One point of :func:`rates_sweep`: ``i_rb``, ``i_re``, ``feasible``,
+    ``restarts_used`` and ``converged`` of :func:`optimize_xi` at ``eps``;
+    ``xi_raw`` is ``i_rb``, ``xi_envelope`` its running minimum (an upper
+    bound on the optimum, which never increases with ``eps``); the bounds
+    ``prop1_lower`` at ``eps`` and ``half_qmi_upper`` are reported, not imposed."""
+
     eps: float
     xi_raw: float
     xi_envelope: float
@@ -824,15 +828,12 @@ def rates_sweep(
     eps_grid: Sequence[float],
     opts: OptimizerOptions | None = None,
 ) -> SweepResult:
-    """Optimize over an ascending grid of privacy levels.
+    """Optimize over an ascending grid of privacy levels, one :class:`SweepRow` each.
 
-    Privacy levels above half the mutual information are solved at that
-    ceiling, since larger levels cannot change the optimum.  Each grid point
-    warm-starts from its predecessor's certificate, and the reported envelope
-    is the running minimum of the raw values, which is a valid monotone
-    non-increasing upper bound because the optimum never increases with eps.
-    Optimizer infeasibility at one grid point is recorded in its row and does
-    not abort the sweep.
+    Every point is solved at its own ``eps`` by :func:`optimize_xi`, ``inf``
+    by the unconstrained search, warm-started from its predecessor's
+    certificate.  Infeasibility at one point is recorded in its row and
+    does not abort the sweep.
     """
     opts = opts if opts is not None else OptimizerOptions()
     grid = [_check_eps(e) for e in eps_grid]
@@ -845,9 +846,7 @@ def rates_sweep(
     warm = opts.warm_theta
     envelope = math.inf
     for eps in grid:
-        eps_solve = eps if eps < half else half
-        point_opts = replace(opts, warm_theta=warm)
-        outcome = optimize_xi(state, eps_solve, point_opts)
+        outcome = optimize_xi(state, eps, replace(opts, warm_theta=warm))
         warm = outcome.theta
         envelope = min(envelope, outcome.i_rb)
         rows.append(

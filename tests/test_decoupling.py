@@ -408,6 +408,23 @@ class TestOptimize:
         with pytest.raises(ValidationError):
             optimize_xi(BELL, -1.0, FAST)
 
+    def test_identity_start_is_feasible_at_every_eps(self, evaluate_calls):
+        # With equal outputs and d_E >= d_A the identity embedding sends A
+        # wholly into E: I(R:B) = 0 meets every constraint, and its larger
+        # share I(R:A) costs one evaluation, at which every gradient vanishes.
+        cases = [
+            (random_density(4, 4, 20, labels=("R", "A"), dims=(2, 2)), {}),
+            (random_density(9, 9, 21, labels=("R", "A"), dims=(3, 3)), {}),
+            (random_density(4, 4, 22, labels=("R", "A"), dims=(2, 2)), {"d_b": 3, "d_e": 3}),
+        ]
+        for rho, dims in cases:
+            for eps in (0.0, 0.1, UNBOUNDED):
+                evaluate_calls.clear()
+                out = optimize_xi(rho, eps, OptimizerOptions(restarts=1, iterations=600, **dims))
+                assert out.feasible and out.converged
+                assert abs(out.i_rb - 2 * half_qmi_upper(rho)) <= 1e-12
+                assert len(evaluate_calls) == 1
+
     def test_fourier_start_is_the_fourier_measurement(self):
         basis = fourier_basis(4)
         want = np.zeros((20, 4), dtype=complex)
@@ -922,18 +939,38 @@ class TestRatesSweep:
         for row in res.rows:
             assert row.xi_raw <= 1e-4
 
-    def test_grid_clipped_at_half_qmi(self):
+    def test_each_row_is_optimize_xi_at_its_own_eps(self):
+        # The warm-start chain replayed by hand: every row, eps = inf too,
+        # is the search at the level it reports, not at half the QMI.
+        rho = random_density(9, 9, 3, labels=("R", "A"), dims=(3, 3))
+        grid = [0.0, 0.02, 0.04, math.inf]
+        opts = OptimizerOptions(restarts=4, iterations=600, seed=100_000)
+        warm = None
+        for eps, row in zip(grid, rates_sweep(rho, grid, opts).rows):
+            out = optimize_xi(rho, eps, replace(opts, warm_theta=warm))
+            warm = out.theta
+            assert (row.i_rb, row.i_re, row.converged) == (out.i_rb, out.i_re, out.converged)
         opts = OptimizerOptions(restarts=4, iterations=400, seed=0)
-        res = rates_sweep(BELL, [5.0, float("inf")], opts)
         unbounded = optimize_xi(BELL, UNBOUNDED, opts)
-        for row in res.rows:
+        for row in rates_sweep(BELL, [5.0, math.inf], opts).rows:
             assert abs(row.xi_raw - unbounded.i_rb) <= 2e-2
+
+    def test_unbounded_row_runs_the_unconstrained_search(self):
+        # Solved at half the QMI, this row ended unconverged at 0.507731686524;
+        # the smoothed unconstrained search converges at 0.506027916011.
+        rho = random_density(9, 2, 500, labels=("R", "A"), dims=(3, 3))
+        opts = OptimizerOptions(restarts=4, iterations=600, seed=0)
+        row = rates_sweep(rho, [0.0, 0.05, math.inf], opts).rows[-1]
+        assert row.converged
+        assert row.i_rb <= 0.5065
 
     def test_constrained_sweep_evaluation_count(self, evaluate_calls):
         # The bench's 3x3 sweep at 4 x 600, seed 100000.  Rounds that each
         # re-scored their start and reset to a step of length 0.3 made 616
         # evaluate calls; handing each round its evaluated start and the
-        # last step length makes 425.  The gate is 0.85 x 616.
+        # last step length makes 425, and solving the eps = inf row by the
+        # unconstrained search instead of at half the QMI 370.  The gate is
+        # 0.85 x 616.
         rho = random_density(9, 9, 3, labels=("R", "A"), dims=(3, 3))
         opts = OptimizerOptions(restarts=4, iterations=600, seed=100_000)
         res = rates_sweep(rho, [0.0, 0.02, 0.04, math.inf], opts)
