@@ -82,7 +82,8 @@ def _checked(check, what: str):
     return parse
 
 
-_eps_value = _checked(dec._check_eps, "a privacy level")
+_eps_value = _checked(lambda text: dec._check_eps(float(text)), "a privacy level")
+_tol_value = _checked(lambda text: qmat.real(float(text), 0.0, "validation tolerance"), "a tolerance")
 # argparse names the flag, so the count rule's message leaves the subject out.
 _positive_int = _checked(lambda text: qmat.count(int(text), 1, ""), "an integer")
 _seed_value = _checked(lambda text: qmat.count(int(text), 0, ""), "an integer")
@@ -145,7 +146,7 @@ def _add_state_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--state", required=True, help="state JSON file")
     p.add_argument(
         "--tol",
-        type=_checked(qmat._check_tol, "a tolerance"),
+        type=_tol_value,
         default=None,
         help="validation tolerance override for reading the state (default 1e-9)",
     )
@@ -163,7 +164,9 @@ def _add_optimizer_flags(p: argparse.ArgumentParser, with_dims: bool = False) ->
         "--iterations",
         type=_positive_int,
         default=2000,
-        help="descent budget per restart, 8 per L-BFGS iteration (default 2000)",
+        help="descent budget per restart: at --eps inf with equal outputs, up to 3 L-BFGS "
+        "rounds of ITERATIONS // 8 iterations; otherwise 5 to 8 rounds of ITERATIONS // 40, "
+        "half that plus one from the sixth (default 2000)",
     )
     p.add_argument("--seed", type=_seed_value, default=0, help="master seed (default 0)")
     if with_dims:

@@ -84,6 +84,7 @@ def _bipartite(state: DensityMatrix) -> tuple[str, str, int, int]:
             f"need a bipartite state, got factors {state.sig.labels}; "
             "merge factors first"
         )
+    qmat.validate_density(state.matrix)
     r, a = state.sig.labels
     return r, a, state.sig.dims[0], state.sig.dims[1]
 
@@ -138,6 +139,7 @@ def decoupling_scores(state: DensityMatrix) -> tuple[float, float, bool]:
         raise ValidationError(
             f"need a tripartite state, got factors {state.sig.labels}"
         )
+    qmat.validate_density(state.matrix)
     r, b, e = state.sig.labels
     i_rb = entropics.mutual_information(state, r, b)
     i_re = entropics.mutual_information(state, r, e)
@@ -151,10 +153,7 @@ def decoupling_scores(state: DensityMatrix) -> tuple[float, float, bool]:
 
 
 def _check_eps(eps: float) -> float:
-    eps = float(eps)
-    if math.isnan(eps) or eps < 0.0:
-        raise ValidationError(f"privacy level must be >= 0 or inf, got {eps}")
-    return eps
+    return qmat.real(eps, 0.0, "privacy level", unbounded=True)
 
 
 def prop1_lower(state: DensityMatrix, eps: float = UNBOUNDED) -> float:
@@ -326,12 +325,15 @@ class _Scorer:
         Only I(R:B) is computed, on a stack of ``2K``: each embedded
         candidate ``w`` and its swap ``S w``, since I(R:E) at ``w`` is I(R:B)
         at ``S w``, and its gradient is the one there with the rows permuted
-        back by ``S``.  The half product ``(1 (x) w) rho`` of
-        :func:`_conjugate` gives the conjugated state for the score and,
-        contracted on its R-B axes, the gradient, with no operator on the
-        whole of R (x) B (x) E formed.  One eigendecomposition per marginal
-        gives its entropy and the entropy's derivative, on the support of the
-        marginal as :func:`spectrum_entropy` sums it: eigenvalues at or below
+        back by ``S``.  :func:`_conjugate` forms the half product
+        ``y = (1 (x) w) rho`` and from it the conjugated state ``t``, an
+        operator on the whole of R (x) B (x) E for each of the ``2K``; E is
+        traced out of ``t`` for the score, and the gradient is one product of
+        ``y`` with an operator on R (x) B, traced over R.  Forming only the
+        R (x) B marginal from ``y`` is item 3 of ROADMAP.md.  One
+        eigendecomposition per marginal gives its entropy and the entropy's
+        derivative, on the support of the marginal as
+        :func:`spectrum_entropy` sums it: eigenvalues at or below
         ``EIGENVALUE_CLAMP`` contribute zero to both.  At full rank this is
         the exact derivative; on a rank-deficient marginal it is that of the
         clamped entropy, which stays finite where the unclamped one diverges.
@@ -469,18 +471,14 @@ def _measurement_start(basis: np.ndarray, d_a: int, d_b: int, d_e: int) -> np.nd
 
 
 def _warm_start(opts: OptimizerOptions, d_a: int, d_b: int, d_e: int) -> np.ndarray:
-    """Start of restart 0: a copy of ``opts.warm_theta`` if set, else the
+    """Start of restart 0: ``opts.warm_theta`` if set, else the
     first ``d_a`` columns of the identity; with equal outputs and ``d_e >=
     d_a`` that sends A into E, the one start feasible at every ``eps``, at
     I(R:A) after one evaluation.  Raises :class:`ValidationError` unless the
     warm start is a ``(d_b*d_e, d_a)`` isometry matrix."""
     if opts.warm_theta is None:
         return np.eye(d_b * d_e, d_a, dtype=complex)
-    try:
-        x = np.array(opts.warm_theta, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"warm start is not a complex matrix: {exc}") from None
-    v = Isometry(x, DimSig((d_b, d_e), ("B", "E")), d_a)
+    v = Isometry(opts.warm_theta, DimSig((d_b, d_e), ("B", "E")), d_a)
     isometries.validate_isometry(v)
     return v.matrix
 

@@ -55,7 +55,7 @@ class Isometry:
     in_dim: int
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = qmat.complex_array(self.matrix, "isometry matrix entries")
         object.__setattr__(self, "in_dim", qmat.count(self.in_dim, 1, "input dimension"))
         if len(self.out_sig.dims) != 2:
             raise ValidationError(
@@ -84,14 +84,12 @@ class RankOnePovm:
     vectors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        vecs = tuple(np.asarray(v, dtype=complex).reshape(-1) for v in self.vectors)
+        vecs = tuple(qmat.complex_array(v, "measurement vectors").reshape(-1) for v in self.vectors)
         if not vecs:
             raise ValidationError("measurement needs at least one element")
         d = vecs[0].shape[0]
         if any(v.shape[0] != d for v in vecs):
             raise ValidationError("measurement vectors must share one dimension")
-        if not all(np.all(np.isfinite(v)) for v in vecs):
-            raise ValidationError("measurement vectors have non-finite entries")
         # sum |v><v| is M^dag M for the matrix M whose rows are the <v|.
         _check_orthonormal(
             np.array(vecs).conj(),
@@ -110,14 +108,13 @@ def _check_orthonormal(m: np.ndarray, message: str, tol: float = qmat.UNITARITY_
     ``message`` is formatted with ``defect`` and ``tol``.
     """
     defect = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1]))))
-    if not defect <= tol:
+    if not defect <= qmat.real(tol, 0.0, "validation tolerance"):
         raise ValidationError(message.format(defect=defect, tol=tol))
 
 
 def validate_isometry(v: Isometry, tol: float = qmat.UNITARITY_TOL) -> None:
-    """Raise unless ``v.matrix`` is finite with orthonormal columns within ``tol``."""
-    if not np.all(np.isfinite(v.matrix)):
-        raise ValidationError("isometry matrix has non-finite entries")
+    """Raise unless ``v.matrix`` has orthonormal columns within ``tol``; a
+    non-finite entry fails too."""
     _check_orthonormal(
         v.matrix,
         "columns are not orthonormal: max |V^dag V - 1| = {defect:.3e} exceeds {tol:.1e}",
@@ -245,7 +242,7 @@ def random_unitary_channel_dilation(
     input marginal for every outcome.
     """
     ps = qmat.probability_vector(p, len(unitaries), "unitaries")
-    us = [np.asarray(u, dtype=complex) for u in unitaries]
+    us = [qmat.complex_array(u, "unitaries") for u in unitaries]
     d = us[0].shape[0]
     for u in us:
         if u.shape != (d, d):

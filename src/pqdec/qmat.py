@@ -6,18 +6,28 @@ whose first label names the most significant tensor factor: a matrix with
 signature ``DimSig((2, 3), ("R", "A"))`` acts on ``kron(C^2, C^3)`` and the
 flat index of basis vector ``|r, a>`` is ``r * 3 + a``.
 
-One rule, :func:`count`, decides what a dimension, a count or a seed is,
-wherever one enters the package: a whole, finite real number that is not a
-bool, at least a stated least value.  ``2``, ``2.0`` and ``np.int64(2)`` are
-the count 2; ``"2"``, ``True``, ``2.5``, ``nan`` and ``inf`` are rejected
-with a :class:`ValidationError` that names the value.
+Three rules decide what enters the package, wherever it enters, and each
+rejects anything else with a :class:`ValidationError` that names the
+subject:
+
+- :func:`count`, for a dimension, a count or a seed: a whole, finite real
+  number that is not a bool, at least a stated least value.  ``2``, ``2.0``
+  and ``np.int64(2)`` are the count 2; ``"2"``, ``True``, ``2.5``, ``nan``
+  and ``inf`` are rejected.
+- :func:`real`, for a privacy level, a fidelity weight or a tolerance: a
+  real number that is not a bool or a string, not NaN, within stated
+  bounds, and finite unless the caller allows ``inf``.
+- :func:`complex_array`, for a state, an isometry, a measurement vector or
+  weights: a non-empty rectangular array of int, float or complex numbers,
+  every entry finite, returned as ``complex128``.  Bools, strings, objects
+  and ragged nesting are rejected.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from math import isfinite, prod
+from math import inf, isfinite, isinf, prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,6 +42,7 @@ __all__ = [
     "UNITARITY_TOL",
     "DimSig",
     "ValidationError",
+    "complex_array",
     "count",
     "eig_hermitian",
     "kron",
@@ -40,13 +51,14 @@ __all__ = [
     "partial_trace",
     "probability_vector",
     "q_factor",
+    "real",
     "trace_distance",
     "validate_density",
 ]
 
 
 class ValidationError(ValueError):
-    """A matrix failed a structural check (hermiticity, trace, positivity, ...)."""
+    """An input broke a rule or failed a structural check (hermiticity, trace, ...)."""
 
 
 @dataclass(frozen=True)
@@ -112,8 +124,38 @@ def count(value, least: int, what: str) -> int:
     return int(value)
 
 
-def _as_matrix(m) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
+def real(value, least: float, what: str, most: float = inf, unbounded: bool = False) -> float:
+    """``value`` as a float, if it is a real number, not a bool or a string,
+    in ``[least, most]``, and finite unless ``unbounded``; anything else, NaN
+    among it, raises :class:`ValidationError` naming ``what`` and the value."""
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (number and least <= value <= most and (unbounded or isfinite(value))):
+        span = f">= {least:g}" if isinf(most) else f"in [{least:g}, {most:g}]"
+        rule = f"real number {span} or inf" if unbounded else f"finite real number {span}"
+        raise ValidationError(f"{what} must be a {rule}, got {value!r}".lstrip())
+    return float(value)
+
+
+def complex_array(value, what: str) -> np.ndarray:
+    """``value`` as a ``complex128`` array, if it is a non-empty rectangular
+    array of int, float or complex numbers, every entry finite; a bool, a
+    string, an object or ragged nesting raises :class:`ValidationError`
+    naming ``what``, a plural subject such as ``"weights"``."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # ragged nesting
+        a = np.array(None)
+    if a.dtype.kind not in "iufc" or a.size == 0:
+        kind = {1: "vector", 2: "matrix"}.get(a.ndim, "rectangular array")
+        kind = kind if a.size else "non-empty array"
+        raise ValidationError(f"{what} are not a {kind} of numbers: {value!r}")
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{what} have non-finite values")
+    return a.astype(complex, copy=False)
+
+
+def _as_matrix(m, what: str = "matrix entries") -> np.ndarray:
+    a = complex_array(m, what)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     return a
@@ -121,7 +163,7 @@ def _as_matrix(m) -> np.ndarray:
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product with the left argument as the most significant factor."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    return np.kron(complex_array(a, "kron factors"), complex_array(b, "kron factors"))
 
 
 def partial_trace(m: np.ndarray, sig: DimSig, keep: Iterable[str]) -> np.ndarray:
@@ -177,8 +219,8 @@ def eig_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL):
     defect exceeds ``tol``.
     """
     a = _as_matrix(m)
-    defect = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-    if defect > tol:
+    defect = np.max(np.abs(a - a.conj().T))
+    if defect > real(tol, 0.0, "hermiticity tolerance"):
         raise ValidationError(
             f"matrix is not Hermitian: max |m - m^dag| = {defect:.3e} exceeds {tol:.1e}"
         )
@@ -211,13 +253,6 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(0.5 * np.sum(np.abs(w)))
 
 
-def _check_tol(tol: float) -> float:
-    tol = float(tol)
-    if not (isfinite(tol) and tol >= 0.0):
-        raise ValidationError(f"validation tolerance must be finite and >= 0, got {tol}")
-    return tol
-
-
 def validate_density(m: np.ndarray, tol: float = DENSITY_TOL) -> np.ndarray:
     """Check that ``m`` is a density matrix and return a cleaned copy.
 
@@ -231,10 +266,8 @@ def validate_density(m: np.ndarray, tol: float = DENSITY_TOL) -> np.ndarray:
     non-negative: a NaN or infinite tolerance would pass any matrix.
     """
     clean_tol = 1e-12
-    tol = _check_tol(tol)
-    a = _as_matrix(m)
-    if not np.all(np.isfinite(a)):
-        raise ValidationError("density matrix has non-finite entries")
+    tol = real(tol, 0.0, "validation tolerance")
+    a = _as_matrix(m, "density matrix entries")
     defect = np.max(np.abs(a - a.conj().T))
     if defect > tol:
         raise ValidationError(
@@ -260,22 +293,18 @@ def validate_density(m: np.ndarray, tol: float = DENSITY_TOL) -> np.ndarray:
 
 
 def probability_vector(p, count: int, what: str) -> np.ndarray:
-    """``p`` as a float vector of ``count`` finite probabilities, one for each
-    of ``what``, none below ``-1e-12`` and summing to 1 within ``1e-9``;
-    anything else raises :class:`ValidationError`."""
-    try:
-        ps = np.asarray(p, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"weights for {what} are not a vector of numbers: {exc}") from None
+    """``p`` as a float vector of ``count`` probabilities, one for each of
+    ``what``: an array by :func:`complex_array`, real, none below ``-1e-12``
+    and summing to 1 within ``1e-9``; anything else raises
+    :class:`ValidationError`."""
+    ps = complex_array(p, "weights")
     if ps.ndim != 1:
         raise ValidationError(f"weights must be a vector, got shape {ps.shape}")
     if ps.size != count:
         raise ValidationError(f"{ps.size} weights for {count} {what}")
-    if not np.all(np.isfinite(ps)):
-        raise ValidationError(f"weights have non-finite entries: {ps.tolist()}")
-    if np.any(ps < -1e-12) or abs(ps.sum() - 1.0) > 1e-9:
+    if np.any(ps.imag != 0.0) or np.any(ps.real < -1e-12) or abs(ps.sum() - 1.0) > 1e-9:
         raise ValidationError("weights must be a probability vector summing to 1")
-    return ps
+    return ps.real
 
 
 # ---------------------------------------------------------------------------

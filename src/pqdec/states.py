@@ -51,7 +51,7 @@ class DensityMatrix:
     sig: DimSig
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = qmat.complex_array(self.matrix, "density matrix entries")
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != self.sig.side:
             raise ValidationError(
                 f"matrix shape {m.shape} does not match signature side {self.sig.side}"
@@ -77,7 +77,7 @@ class PureState:
     sig: DimSig
 
     def __post_init__(self):
-        v = np.asarray(self.vector, dtype=complex).reshape(-1)
+        v = qmat.complex_array(self.vector, "state vector entries").reshape(-1)
         if v.shape[0] != self.sig.side:
             raise ValidationError(
                 f"vector length {v.shape[0]} does not match signature side {self.sig.side}"
@@ -173,8 +173,7 @@ def append_maximally_mixed(state: DensityMatrix, m: int, label: str) -> DensityM
 def isotropic(d: int, f: float, labels: tuple[str, str] = ("R", "A")) -> DensityMatrix:
     """Mixture of the maximally entangled projector (weight ``f``) with the
     uniform state on its orthocomplement."""
-    if not 0.0 <= f <= 1.0:
-        raise ValidationError(f"fidelity weight must lie in [0, 1], got {f}")
+    f = qmat.real(f, 0.0, "fidelity weight", most=1.0)
     d = qmat.count(d, 2, "dimension")
     phi = to_density(max_entangled(d, labels)).matrix
     rest = (np.eye(d * d) - phi) / (d * d - 1)

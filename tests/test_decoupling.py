@@ -890,6 +890,25 @@ class TestExactGradient:
 
 
 class TestBoundsReport:
+    @pytest.mark.parametrize("scale", [-1.0, 20.0])
+    def test_non_density_state_rejected_where_a_computation_starts(self, scale):
+        # A DensityMatrix holds any square array; -I/4 used to give an
+        # all-zero report, and 5 I a misleading bound-ordering failure.
+        bad = DensityMatrix(scale * np.eye(4) / 4, DimSig((2, 2), ("R", "A")))
+        bad_rbe = DensityMatrix(scale * np.eye(8) / 8, DimSig((2, 2, 2), ("R", "B", "E")))
+        tiny = OptimizerOptions(restarts=1, iterations=8)
+        calls = [
+            lambda: bounds_report(bad, UNBOUNDED, tiny),
+            lambda: optimize_xi(bad, 0.1, tiny),
+            lambda: povm_upper(bad, tiny),
+            lambda: rates_sweep(bad, [0.0], tiny),
+            lambda: apply_isometry(bad, mub_shredder(2)),
+            lambda: decoupling_scores(bad_rbe),
+        ]
+        for call in calls + [partial(f, bad) for f in (prop1_lower, half_qmi_upper, xi_infinity)]:
+            with pytest.raises(ValidationError, match="density matrix trace"):
+                call()
+
     def test_bell_report(self):
         rep = bounds_report(BELL, UNBOUNDED, FAST)
         assert rep.qmi == 2.0

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from pqdec import isometries as iso
 from pqdec import scenarios as scn
 from pqdec import states as st
+from pqdec import decoupling as dec
 from pqdec.decoupling import OptimizerOptions
 from pqdec.qmat import (
     DimSig,
@@ -16,6 +18,7 @@ from pqdec.qmat import (
     kron,
     matrix_to_entries,
     partial_trace,
+    probability_vector,
     q_factor,
     trace_distance,
     validate_density,
@@ -332,3 +335,121 @@ def test_count_rule(name):
     for good in (2.0, np.int64(3)):
         got, want = call(good), call(int(good))
         assert got == want and type(got) is type(want)
+
+
+_TINY = OptimizerOptions(restarts=1, iterations=8)
+_INF = math.inf
+
+# Every entry point that takes a real number from outside: the call, which
+# returns what it stored or the bytes of what it made, the subject its
+# message names, the least and most values, and whether inf is allowed.
+REAL_ENTRY_POINTS = {
+    "optimize_xi.eps": (
+        lambda e: dec.optimize_xi(_BELL, e, _TINY).epsilon, "privacy level", 0, _INF, True
+    ),
+    "prop1_lower.eps": (lambda e: dec.prop1_lower(_BELL, e), "privacy level", 0, _INF, True),
+    "bounds_report.eps": (
+        lambda e: dec.bounds_report(_BELL, e, _TINY).prop1_lower, "privacy level", 0, _INF, True
+    ),
+    "rates_sweep.eps": (
+        lambda e: dec.rates_sweep(_BELL, [e], _TINY).rows[0].eps, "privacy level", 0, _INF, True
+    ),
+    "isotropic.f": (lambda f: st.isotropic(2, f).matrix.tobytes(), "fidelity weight", 0, 1, False),
+    "validate_density.tol": (
+        lambda t: validate_density(_BELL.matrix, t).tobytes(), "validation tolerance", 0, _INF, False
+    ),
+    "state_from_json.tol": (
+        lambda t: st.state_from_json(st.state_to_json(_BELL), t).matrix.tobytes(),
+        "validation tolerance", 0, _INF, False,
+    ),
+    "validate_isometry.tol": (
+        lambda t: iso.validate_isometry(iso.mub_shredder(2), t), "validation tolerance", 0, _INF, False
+    ),
+    "eig_hermitian.tol": (
+        lambda t: eig_hermitian(_BELL.matrix, t)[0].tobytes(), "hermiticity tolerance", 0, _INF, False
+    ),
+}
+
+
+@pytest.mark.parametrize("name", REAL_ENTRY_POINTS)
+def test_real_rule(name):
+    # One rule everywhere: a real number, not a bool or a string, not NaN,
+    # within its bounds, finite unless inf is allowed.
+    call, what, least, most, unbounded = REAL_ENTRY_POINTS[name]
+    bad = ["0.1", True, None, math.nan, least - 1]
+    bad += [most + 1] if math.isfinite(most) else [] if unbounded else [math.inf]
+    for value in bad:
+        with pytest.raises(ValidationError, match=f"{re.escape(what)}.*{re.escape(repr(value))}"):
+            call(value)
+    for good in [1, 1.0, np.float64(0.5)] + ([math.inf] if unbounded else []):
+        got, want = call(good), call(float(good))
+        assert got == want and type(got) is type(want)
+
+
+def _nan_at_first(a):
+    out = np.array(a, dtype=float)
+    out.flat[0] = math.nan
+    return out
+
+
+_PAIR = _BELL.sig
+
+# Every entry point that takes an array from outside: the call, which
+# returns what it stored or made, a valid array of whole numbers for it,
+# and the subject its message names.
+ARRAY_ENTRY_POINTS = {
+    "DensityMatrix": (lambda a: st.DensityMatrix(a, _PAIR).matrix, np.eye(4), "density matrix entries"),
+    "PureState": (
+        lambda a: st.PureState(a, DimSig((4,), ("Q",))).vector, [0, 1, 0, 0], "state vector entries"
+    ),
+    "Isometry": (
+        lambda a: iso.Isometry(a, DimSig((2, 2), "BE"), 2).matrix,
+        np.eye(4, 2),
+        "isometry matrix entries",
+    ),
+    "OptimizerOptions.warm_theta": (
+        lambda a: dec.optimize_xi(_BELL, 0.5, replace(_TINY, warm_theta=a)).theta,
+        np.eye(4, 2),
+        "isometry matrix entries",
+    ),
+    "RankOnePovm": (lambda a: iso.RankOnePovm((a, [0, 1])).vectors[0], [1, 0], "measurement vectors"),
+    "probability_vector": (lambda a: probability_vector(a, 2, "outcomes"), [1, 0], "weights"),
+    "classically_correlated.p": (
+        lambda a: st.classically_correlated(a, [np.eye(2) / 2] * 2).matrix, [1, 0], "weights"
+    ),
+    "classically_correlated.conditionals": (
+        lambda a: st.classically_correlated([0.5, 0.5], [a, np.eye(2) / 2]).matrix,
+        np.diag([1, 0]),
+        "density matrix entries",
+    ),
+    "random_unitary_channel_dilation.p": (
+        lambda a: iso.random_unitary_channel_dilation([np.eye(2)] * 2, a).matrix, [1, 0], "weights"
+    ),
+    "random_unitary_channel_dilation.unitaries": (
+        lambda a: iso.random_unitary_channel_dilation([a, np.eye(2)], [0.5, 0.5]).matrix,
+        np.eye(2),
+        "unitaries",
+    ),
+    "validate_density": (validate_density, np.diag([1, 0]), "density matrix entries"),
+    "eig_hermitian": (lambda a: eig_hermitian(a)[1], np.eye(2), "matrix entries"),
+    "partial_trace": (lambda a: partial_trace(a, _PAIR, "R"), np.eye(4), "matrix entries"),
+    "kron": (lambda a: kron(a, np.eye(2)), np.eye(2), "kron factors"),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_ENTRY_POINTS)
+def test_array_rule(name):
+    # One rule everywhere: a non-empty rectangular array of int, float or
+    # complex numbers, every entry finite.  Numeric strings and bools used
+    # to be converted, and NaN to pass.
+    call, good, what = ARRAY_ENTRY_POINTS[name]
+    g = np.asarray(good)
+    ragged = [[1.0, 0.0], [0.0]]
+    for bad in ([["a"]], g.astype(float).astype(str), ragged, g != 0, _nan_at_first(g), np.zeros(0)):
+        with pytest.raises(ValidationError, match=re.escape(what)):
+            call(bad)
+    want = call(g.astype(complex))
+    assert want.dtype == (float if name == "probability_vector" else complex)
+    for dtype in (int, float):
+        got = call(g.astype(dtype))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
