@@ -44,12 +44,10 @@ from .isometries import (
     povm_isometry,
     random_unitary_channel_dilation,
     twirl_isometry,
-    validate_isometry,
 )
 from .qmat import (
     DimSig,
     ValidationError,
-    eig_hermitian,
     kron,
     partial_trace,
     trace_distance,

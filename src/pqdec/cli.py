@@ -84,6 +84,9 @@ def _checked(check, what: str):
 
 _eps_value = _checked(lambda text: dec._check_eps(float(text)), "a privacy level")
 _tol_value = _checked(lambda text: qmat.real(float(text), 0.0, "validation tolerance"), "a tolerance")
+_fidelity_value = _checked(
+    lambda text: qmat.real(float(text), 0.0, "fidelity weight", most=1.0), "a fidelity weight"
+)
 # argparse names the flag, so the count rule's message leaves the subject out.
 _positive_int = _checked(lambda text: qmat.count(int(text), 1, ""), "an integer")
 _seed_value = _checked(lambda text: qmat.count(int(text), 0, ""), "an integer")
@@ -330,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--out", required=True)
     q = kinds.add_parser("isotropic", help="entangled pair mixed with white noise")
     q.add_argument("--d", type=_positive_int, default=2)
-    q.add_argument("--fidelity", type=float, default=0.9)
+    q.add_argument("--fidelity", type=_fidelity_value, default=0.9)
     q.add_argument("--out", required=True)
     q = kinds.add_parser("random", help="full or fixed-rank random bipartite state")
     q.add_argument("--dims", nargs=2, type=_positive_int, default=[2, 2], metavar=("DR", "DA"))

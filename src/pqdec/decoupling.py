@@ -84,7 +84,6 @@ def _bipartite(state: DensityMatrix) -> tuple[str, str, int, int]:
             f"need a bipartite state, got factors {state.sig.labels}; "
             "merge factors first"
         )
-    qmat.validate_density(state.matrix)
     r, a = state.sig.labels
     return r, a, state.sig.dims[0], state.sig.dims[1]
 
@@ -100,7 +99,6 @@ def apply_isometry(state: DensityMatrix, v: Isometry) -> DensityMatrix:
         raise ValidationError(
             f"isometry expects input dimension {v.in_dim}, state has {d_a}"
         )
-    isometries.validate_isometry(v)
     if r in v.out_sig.labels:
         raise ValidationError(
             f"reference label {r!r} collides with output labels {v.out_sig.labels}"
@@ -139,7 +137,6 @@ def decoupling_scores(state: DensityMatrix) -> tuple[float, float, bool]:
         raise ValidationError(
             f"need a tripartite state, got factors {state.sig.labels}"
         )
-    qmat.validate_density(state.matrix)
     r, b, e = state.sig.labels
     i_rb = entropics.mutual_information(state, r, b)
     i_re = entropics.mutual_information(state, r, e)
@@ -178,10 +175,10 @@ def half_qmi_upper(state: DensityMatrix) -> float:
 def xi_infinity(state: DensityMatrix) -> float:
     """Ineliminable correlations at unbounded privacy in the many-copy limit:
     ``max(ic, 0)`` with ``ic`` the coherent information from the acted factor
-    to the reference.  Zero exactly whenever ``ic <= 0``, in particular on
-    every separable state."""
-    r, a, _, _ = _bipartite(state)
-    return max(entropics.coherent_information(state, a, r), 0.0)
+    to the reference, which is :func:`prop1_lower` at unbounded privacy.
+    Zero exactly whenever ``ic <= 0``, in particular on every separable
+    state."""
+    return prop1_lower(state)
 
 
 @dataclass(frozen=True)
@@ -478,9 +475,7 @@ def _warm_start(opts: OptimizerOptions, d_a: int, d_b: int, d_e: int) -> np.ndar
     warm start is a ``(d_b*d_e, d_a)`` isometry matrix."""
     if opts.warm_theta is None:
         return np.eye(d_b * d_e, d_a, dtype=complex)
-    v = Isometry(opts.warm_theta, DimSig((d_b, d_e), ("B", "E")), d_a)
-    isometries.validate_isometry(v)
-    return v.matrix
+    return Isometry(opts.warm_theta, DimSig((d_b, d_e), ("B", "E")), d_a).matrix
 
 
 def _constraints(m_b: float, m_e: float, eps: float, symmetric: bool):
@@ -784,9 +779,9 @@ def bounds_report(
             f"bound ordering violated: formula value {report.xi_infinity:.12g} "
             f"exceeds half the mutual information {report.half_qmi_upper:.12g}"
         )
-    if max(ic, 0.0) > report.povm_upper + FEASIBLE_TOL:
+    if report.xi_infinity > report.povm_upper + FEASIBLE_TOL:
         raise ValidationError(
-            f"bound ordering violated: lower bound {max(ic, 0.0):.12g} exceeds "
+            f"bound ordering violated: lower bound {report.xi_infinity:.12g} exceeds "
             f"measurement bound {report.povm_upper:.12g}"
         )
     return report

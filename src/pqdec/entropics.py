@@ -12,6 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import qmat
 from .states import DensityMatrix
 
 EIGENVALUE_CLAMP = 1e-12
@@ -63,7 +64,8 @@ def _group(labels: str | Sequence[str]) -> tuple[str, ...]:
 
 def subsystem_entropy(state: DensityMatrix, labels: str | Sequence[str]) -> float:
     """Entropy of the reduced state on the named factors."""
-    return entropy(state.marginal(_group(labels)))
+    reduced = qmat.partial_trace(state.matrix, state.sig, _group(labels))
+    return spectrum_entropy(np.linalg.eigvalsh(reduced))
 
 
 def entropy_report(state: DensityMatrix) -> EntropyReport:

@@ -35,7 +35,6 @@ __all__ = [
     "record_rows",
     "save_isometry",
     "twirl_isometry",
-    "validate_isometry",
 ]
 
 PAULI = (
@@ -48,7 +47,13 @@ PAULI = (
 
 @dataclass(frozen=True)
 class Isometry:
-    """Matrix of an isometry together with the signature of its output factors."""
+    """Matrix of an isometry together with the signature of its output factors.
+
+    The matrix is checked where it is made: finite, of shape ``(d_B * d_E,
+    in_dim)``, with orthonormal columns, ``max |V^dag V - 1| <=
+    qmat.UNITARITY_TOL`` (1e-9).  Anything else raises
+    :class:`ValidationError`.
+    """
 
     matrix: np.ndarray
     out_sig: DimSig
@@ -66,6 +71,9 @@ class Isometry:
                 f"matrix shape {m.shape} does not match output side "
                 f"{self.out_sig.side} x input dim {self.in_dim}"
             )
+        _check_orthonormal(
+            m, "columns are not orthonormal: max |V^dag V - 1| = {defect:.3e} exceeds {tol:.1e}"
+        )
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -102,24 +110,12 @@ class RankOnePovm:
         return self.vectors[0].shape[0]
 
 
-def _check_orthonormal(m: np.ndarray, message: str, tol: float = qmat.UNITARITY_TOL) -> None:
-    """Raise unless ``max |m^dag m - 1| <= tol``; a NaN defect fails too.
-
-    ``message`` is formatted with ``defect`` and ``tol``.
-    """
+def _check_orthonormal(m: np.ndarray, message: str) -> None:
+    """Raise unless ``max |m^dag m - 1| <= qmat.UNITARITY_TOL``; a NaN defect
+    fails too.  ``message`` is formatted with ``defect`` and ``tol``."""
     defect = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1]))))
-    if not defect <= qmat.real(tol, 0.0, "validation tolerance"):
-        raise ValidationError(message.format(defect=defect, tol=tol))
-
-
-def validate_isometry(v: Isometry, tol: float = qmat.UNITARITY_TOL) -> None:
-    """Raise unless ``v.matrix`` has orthonormal columns within ``tol``; a
-    non-finite entry fails too."""
-    _check_orthonormal(
-        v.matrix,
-        "columns are not orthonormal: max |V^dag V - 1| = {defect:.3e} exceeds {tol:.1e}",
-        tol,
-    )
+    if not defect <= qmat.UNITARITY_TOL:
+        raise ValidationError(message.format(defect=defect, tol=qmat.UNITARITY_TOL))
 
 
 def _out_sig(d_b: int, d_e: int, labels: tuple[str, str]) -> DimSig:
@@ -225,9 +221,7 @@ def povm_isometry(p: RankOnePovm, labels: tuple[str, str] = ("B", "E")) -> Isome
     n = len(p.vectors)
     m = np.zeros((n * n, p.dim), dtype=complex)
     m[record_rows(n, n)] = np.conj(p.vectors)
-    iso = Isometry(m, _out_sig(n, n, labels), p.dim)
-    validate_isometry(iso)
-    return iso
+    return Isometry(m, _out_sig(n, n, labels), p.dim)
 
 
 def random_unitary_channel_dilation(
@@ -252,9 +246,7 @@ def random_unitary_channel_dilation(
     m = np.zeros((d * k, d), dtype=complex)
     for i, (w, u) in enumerate(zip(ps, us)):
         m[i::k, :] = np.sqrt(w) * u
-    iso = Isometry(m, _out_sig(d, k, labels), d)
-    validate_isometry(iso)
-    return iso
+    return Isometry(m, _out_sig(d, k, labels), d)
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +272,7 @@ def isometry_from_json(text: str | bytes) -> Isometry:
     except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
         raise ValidationError(f"malformed isometry document: {exc}") from exc
     m = qmat.matrix_from_entries(entries, d_b * d_e, d_in)
-    iso = Isometry(m, _out_sig(d_b, d_e, ("B", "E")), d_in)
-    validate_isometry(iso)
-    return iso
+    return Isometry(m, _out_sig(d_b, d_e, ("B", "E")), d_in)
 
 
 def save_isometry(v: Isometry, path) -> None:

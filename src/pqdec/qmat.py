@@ -32,19 +32,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-9
 DENSITY_TOL = 1e-9
 
 __all__ = [
     "DENSITY_TOL",
-    "HERMITICITY_TOL",
     "UNITARITY_TOL",
     "DimSig",
     "ValidationError",
     "complex_array",
     "count",
-    "eig_hermitian",
     "kron",
     "matrix_from_entries",
     "matrix_to_entries",
@@ -208,24 +205,6 @@ def partial_trace(m: np.ndarray, sig: DimSig, keep: Iterable[str]) -> np.ndarray
     reduced = np.einsum(t, row + col, out)
     side = prod(d for d, x in zip(sig.dims, sig.labels) if x in keep_set)
     return np.ascontiguousarray(reduced.reshape(side, side))
-
-
-def eig_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(w, u)`` with eigenvalues ``w`` ascending and eigenvectors in the
-    columns of ``u``, so that ``u @ diag(w) @ u.conj().T`` reconstructs the
-    input to within 1e-9 in max-entry norm.  Rejects inputs whose Hermitian
-    defect exceeds ``tol``.
-    """
-    a = _as_matrix(m)
-    defect = np.max(np.abs(a - a.conj().T))
-    if defect > real(tol, 0.0, "hermiticity tolerance"):
-        raise ValidationError(
-            f"matrix is not Hermitian: max |m - m^dag| = {defect:.3e} exceeds {tol:.1e}"
-        )
-    w, u = np.linalg.eigh(a)
-    return w, u
 
 
 def q_factor(m: np.ndarray) -> np.ndarray:

@@ -45,7 +45,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A density matrix together with the signature of its tensor factors."""
+    """A density matrix together with the signature of its tensor factors.
+
+    The matrix is checked where it is made, by :func:`qmat.validate_density`
+    at ``qmat.DENSITY_TOL``: finite, square with the signature's side,
+    Hermitian and of trace 1 within 1e-9, with no eigenvalue below -1e-9.
+    Anything else raises :class:`ValidationError`.  The check does not clean:
+    the matrix is kept as given, as ``complex128``; :func:`as_density` cleans.
+    """
 
     matrix: np.ndarray
     sig: DimSig
@@ -56,6 +63,7 @@ class DensityMatrix:
             raise ValidationError(
                 f"matrix shape {m.shape} does not match signature side {self.sig.side}"
             )
+        qmat.validate_density(m)
         object.__setattr__(self, "matrix", m)
 
     def marginal(self, keep: str | Sequence[str]) -> "DensityMatrix":
@@ -89,7 +97,12 @@ class PureState:
 
 
 def as_density(matrix: np.ndarray, sig: DimSig, tol: float = qmat.DENSITY_TOL) -> DensityMatrix:
-    """Validate, clean, and wrap a raw matrix as a :class:`DensityMatrix`."""
+    """Validate, clean, and wrap a loaded or computed matrix as a :class:`DensityMatrix`.
+
+    :func:`qmat.validate_density` checks ``matrix`` within ``tol`` and
+    returns it cleaned: Hermitian, eigenvalues clamped at 0 and trace 1, so
+    that the result passes the constructor's check at ``qmat.DENSITY_TOL``.
+    """
     return DensityMatrix(qmat.validate_density(matrix, tol), sig)
 
 
@@ -261,7 +274,7 @@ def purify(state: DensityMatrix, new_label: str = "S") -> PureState:
     """
     if new_label in state.sig.labels:
         raise ValidationError(f"label {new_label!r} already present in {state.sig.labels}")
-    w, u = qmat.eig_hermitian(state.matrix)
+    w, u = np.linalg.eigh(state.matrix)
     keep = w > RANK_TOL
     w, u = w[keep], u[:, keep]
     order = np.argsort(w)[::-1]

@@ -341,6 +341,16 @@ def test_bad_eps_is_a_usage_error(tmp_path, capsys, eps):
     assert "--eps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fidelity", ["1.5", "nan", "abc"])
+def test_bad_fidelity_is_a_usage_error(tmp_path, capsys, fidelity):
+    out = tmp_path / "iso.json"
+    with pytest.raises(SystemExit) as err:
+        main(["make-state", "isotropic", "--fidelity", fidelity, "--out", str(out)])
+    assert err.value.code == 2
+    assert "--fidelity" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "abc"])
 def test_bad_tol_is_a_usage_error(tmp_path, capsys, tol):
     # Trace one but not positive: a NaN or infinite tolerance used to pass

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pqdec import decoupling as dec
+from pqdec import qmat
 from pqdec.decoupling import (
     UNBOUNDED,
     OptimizerOptions,
@@ -892,22 +893,28 @@ class TestExactGradient:
 class TestBoundsReport:
     @pytest.mark.parametrize("scale", [-1.0, 20.0])
     def test_non_density_state_rejected_where_a_computation_starts(self, scale):
-        # A DensityMatrix holds any square array; -I/4 used to give an
+        # Every computation starts from a DensityMatrix, and a matrix that is
+        # not a density matrix cannot be made one: -I/4 used to give an
         # all-zero report, and 5 I a misleading bound-ordering failure.
-        bad = DensityMatrix(scale * np.eye(4) / 4, DimSig((2, 2), ("R", "A")))
-        bad_rbe = DensityMatrix(scale * np.eye(8) / 8, DimSig((2, 2, 2), ("R", "B", "E")))
-        tiny = OptimizerOptions(restarts=1, iterations=8)
-        calls = [
-            lambda: bounds_report(bad, UNBOUNDED, tiny),
-            lambda: optimize_xi(bad, 0.1, tiny),
-            lambda: povm_upper(bad, tiny),
-            lambda: rates_sweep(bad, [0.0], tiny),
-            lambda: apply_isometry(bad, mub_shredder(2)),
-            lambda: decoupling_scores(bad_rbe),
-        ]
-        for call in calls + [partial(f, bad) for f in (prop1_lower, half_qmi_upper, xi_infinity)]:
+        for sig in (DimSig((2, 2), ("R", "A")), DimSig((2, 2, 2), ("R", "B", "E"))):
             with pytest.raises(ValidationError, match="density matrix trace"):
-                call()
+                DensityMatrix(scale * np.eye(sig.side) / sig.side, sig)
+
+    def test_nothing_downstream_checks_a_made_state_again(self, monkeypatch):
+        # A DensityMatrix is checked once, where it is made; the entry points
+        # and the entropies they take of it build no checked state again.
+        study = random_density(4, 4, 100000, labels=("R", "A"), dims=(2, 2))
+        sweep = random_density(9, 9, 3, labels=("R", "A"), dims=(3, 3))
+        calls = []
+        check = qmat.validate_density
+        monkeypatch.setattr(qmat, "validate_density", lambda *a: calls.append(1) or check(*a))
+        opts = OptimizerOptions(restarts=2, iterations=80, seed=0)
+        bounds_report(study, UNBOUNDED, opts)
+        optimize_xi(study, UNBOUNDED, opts)
+        rates_sweep(sweep, [0.0, 0.02, 0.04, UNBOUNDED], opts)
+        assert calls == []
+        DensityMatrix(study.matrix, study.sig)
+        assert calls == [1]
 
     def test_bell_report(self):
         rep = bounds_report(BELL, UNBOUNDED, FAST)

@@ -17,7 +17,6 @@ from pqdec.isometries import (
     povm_isometry,
     random_unitary_channel_dilation,
     twirl_isometry,
-    validate_isometry,
 )
 from pqdec.qmat import DimSig, ValidationError, kron, partial_trace
 from pqdec.states import random_density, random_unitary
@@ -34,16 +33,16 @@ def output_marginals(v, rho_in):
     return b, e
 
 
-def test_validate_isometry_accepts_identity_embedding():
+def test_isometry_accepts_identity_embedding():
     m = np.eye(4, dtype=complex)[:, :2]
-    validate_isometry(Isometry(m, DimSig((2, 2), ("B", "E")), 2))
+    assert Isometry(m, DimSig((2, 2), ("B", "E")), 2).matrix.tobytes() == m.tobytes()
 
 
-def test_validate_isometry_rejects_scaled_column():
+def test_isometry_rejects_scaled_column():
     m = np.eye(4, dtype=complex)[:, :2]
     m[:, 1] *= 2.0
-    with pytest.raises(ValidationError):
-        validate_isometry(Isometry(m, DimSig((2, 2), ("B", "E")), 2))
+    with pytest.raises(ValidationError, match="columns are not orthonormal"):
+        Isometry(m, DimSig((2, 2), ("B", "E")), 2)
 
 
 def test_isometry_shape_checked():

@@ -14,7 +14,6 @@ from pqdec.decoupling import OptimizerOptions
 from pqdec.qmat import (
     DimSig,
     ValidationError,
-    eig_hermitian,
     kron,
     matrix_to_entries,
     partial_trace,
@@ -160,22 +159,6 @@ class TestPartialTrace:
             partial_trace(np.eye(3), sig, ["R"])
         with pytest.raises(KeyError):
             partial_trace(np.eye(4), sig, ["X"])
-
-
-class TestEigHermitian:
-    def test_reconstruction(self):
-        rng = np.random.default_rng(3)
-        for n in (2, 4, 8):
-            h = random_complex(rng, (n, n))
-            h = h + h.conj().T
-            w, u = eig_hermitian(h)
-            assert np.all(np.diff(w) >= -1e-12)
-            recon = (u * w) @ u.conj().T
-            assert np.max(np.abs(recon - h)) <= 1e-9
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValidationError):
-            eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestTraceDistance:
@@ -362,12 +345,6 @@ REAL_ENTRY_POINTS = {
         lambda t: st.state_from_json(st.state_to_json(_BELL), t).matrix.tobytes(),
         "validation tolerance", 0, _INF, False,
     ),
-    "validate_isometry.tol": (
-        lambda t: iso.validate_isometry(iso.mub_shredder(2), t), "validation tolerance", 0, _INF, False
-    ),
-    "eig_hermitian.tol": (
-        lambda t: eig_hermitian(_BELL.matrix, t)[0].tobytes(), "hermiticity tolerance", 0, _INF, False
-    ),
 }
 
 
@@ -398,7 +375,9 @@ _PAIR = _BELL.sig
 # returns what it stored or made, a valid array of whole numbers for it,
 # and the subject its message names.
 ARRAY_ENTRY_POINTS = {
-    "DensityMatrix": (lambda a: st.DensityMatrix(a, _PAIR).matrix, np.eye(4), "density matrix entries"),
+    "DensityMatrix": (
+        lambda a: st.DensityMatrix(a, _PAIR).matrix, np.diag([1, 0, 0, 0]), "density matrix entries"
+    ),
     "PureState": (
         lambda a: st.PureState(a, DimSig((4,), ("Q",))).vector, [0, 1, 0, 0], "state vector entries"
     ),
@@ -431,7 +410,6 @@ ARRAY_ENTRY_POINTS = {
         "unitaries",
     ),
     "validate_density": (validate_density, np.diag([1, 0]), "density matrix entries"),
-    "eig_hermitian": (lambda a: eig_hermitian(a)[1], np.eye(2), "matrix entries"),
     "partial_trace": (lambda a: partial_trace(a, _PAIR, "R"), np.eye(4), "matrix entries"),
     "kron": (lambda a: kron(a, np.eye(2)), np.eye(2), "kron factors"),
 }
