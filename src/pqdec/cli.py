@@ -96,14 +96,12 @@ _seed_value = _checked(lambda text: qmat.count(int(text), 0, ""), "an integer")
 MAX_GRID_POINTS = 10_000
 
 
-def _grid_value(text: str) -> list[float]:
+def _grid(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"grid must look like A:B:STEP, got {text!r}")
-    try:
-        lo, hi, step = (float(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"non-numeric grid bound in {text!r}") from None
+    lo, hi = (dec._check_eps(float(p)) for p in parts[:2])
+    step = float(parts[2])
     if not (step > 0.0 and hi >= lo and all(map(math.isfinite, (lo, hi, step)))):
         raise argparse.ArgumentTypeError("grid must be ascending with a positive step")
     edge = hi + 1e-9 * max(1.0, abs(hi))
@@ -113,6 +111,10 @@ def _grid_value(text: str) -> list[float]:
     if span >= MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
     return [v for v in (lo + k * step for k in range(int(span) + 2)) if v <= edge]
+
+
+# A bound that --eps would reject is a usage error with the same message.
+_grid_value = _checked(_grid, "a numeric grid A:B:STEP")
 
 
 class _WriteFailure(Exception):

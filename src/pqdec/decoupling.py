@@ -91,8 +91,12 @@ def _bipartite(state: DensityMatrix) -> tuple[str, str, int, int]:
 def apply_isometry(state: DensityMatrix, v: Isometry) -> DensityMatrix:
     """Conjugate the second factor of a bipartite state by an isometry.
 
-    Returns the state on (reference, B, E) with the output labels taken from
-    the isometry's signature.
+    Returns the state (1 (x) V) rho (1 (x) V)^dag on (reference, B, E), with
+    the output labels taken from the isometry's signature.  It forms the half
+    product ``y = (1 (x) V) rho``, of shape ``(d_r, n, d_r * d_a)`` with
+    ``n = d_b * d_e``, then ``y (1 (x) V)^dag``, an operator on the whole of
+    R (x) B (x) E.  The search never builds that operator
+    (:meth:`_Scorer.evaluate` forms only the R (x) B marginal).
     """
     r, _, d_r, d_a = _bipartite(state)
     if v.in_dim != d_a:
@@ -103,27 +107,9 @@ def apply_isometry(state: DensityMatrix, v: Isometry) -> DensityMatrix:
         raise ValidationError(
             f"reference label {r!r} collides with output labels {v.out_sig.labels}"
         )
-    _, out = _conjugate(state.matrix, d_r, d_a, v.matrix)
     sig = DimSig((d_r,) + v.out_sig.dims, (r,) + v.out_sig.labels)
-    return as_density(out.reshape(sig.side, sig.side), sig)
-
-
-def _conjugate(
-    rho: np.ndarray, d_r: int, d_a: int, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(1 (x) w) rho (1 (x) w)^dag without forming the Kronecker factor.
-
-    ``w`` is one ``n x d_a`` isometry matrix or a stack of them.  Returns
-    ``(y, t)``: the half product ``y = (1 (x) w) rho``, of shape
-    ``(..., d_r, n, d_r * d_a)``, and the conjugated state
-    ``t = y (1 (x) w)^dag``, of shape ``(..., d_r, n, d_r, n)``.
-    :meth:`_Scorer.evaluate` scores ``t`` and takes its gradient from ``y``.
-    """
-    stack = w.shape[:-2]
-    n = w.shape[-2]
-    y = w[..., None, :, :] @ rho.reshape(d_r, d_a, d_r * d_a)   # (r, o, (r', b))
-    t = y.reshape(stack + (d_r * n * d_r, d_a)) @ w.conj().swapaxes(-1, -2)
-    return y, t.reshape(stack + (d_r, n, d_r, n))                # (r, o, r', p)
+    y = v.matrix[None] @ state.matrix.reshape(d_r, d_a, d_r * d_a)
+    return as_density((y.reshape(-1, d_a) @ v.matrix.conj().T).reshape(sig.side, sig.side), sig)
 
 
 def decoupling_scores(state: DensityMatrix) -> tuple[float, float, bool]:
@@ -299,7 +285,8 @@ class _Scorer:
         d_e: int,
         rows: np.ndarray | None = None,
     ):
-        self.rho = rho
+        # rho as (c, r, a, a'), its column R index c first, for evaluate's y
+        self.rho = rho.reshape(d_r, d_a, d_r, d_a).transpose(2, 0, 1, 3).copy()
         self.dims = (d_r, d_a, d_b, d_e)
         self.n = d_b * d_e if rows is None else len(rows)
         self.m = max(d_b, d_e)
@@ -322,14 +309,17 @@ class _Scorer:
         Only I(R:B) is computed, on a stack of ``2K``: each embedded
         candidate ``w`` and its swap ``S w``, since I(R:E) at ``w`` is I(R:B)
         at ``S w``, and its gradient is the one there with the rows permuted
-        back by ``S``.  :func:`_conjugate` forms the half product
-        ``y = (1 (x) w) rho`` and from it the conjugated state ``t``, an
-        operator on the whole of R (x) B (x) E for each of the ``2K``; E is
-        traced out of ``t`` for the score, and the gradient is one product of
-        ``y`` with an operator on R (x) B, traced over R.  Forming only the
-        R (x) B marginal from ``y`` is item 3 of ROADMAP.md.  One
-        eigendecomposition per marginal gives its entropy and the entropy's
-        derivative, on the support of the marginal as
+        back by ``S``.  The half product ``y = (1 (x) w) rho`` is formed
+        with the column R index of ``rho`` moved to the front, of shape
+        ``(2K, d_r, d_r, m*m, d_a)``.  One product of ``y`` with ``w^dag``,
+        which sums over E and the column A index together, gives the
+        R (x) B marginal ``t_rb``, of shape ``(2K, d_r, m, d_r, m)``;
+        ``t_b`` is its trace over R.  The gradient is
+        ``z = 2 tr_R((a (x) 1_E) y)`` with ``a`` on R (x) B, and one product
+        of ``a``, laid out as ``(2K, m, d_r*d_r*m)``, with ``y`` takes the
+        trace over R with it.  No operator on the whole of R (x) B (x) E is
+        formed.  One eigendecomposition per marginal gives its entropy and
+        the entropy's derivative, on the support of the marginal as
         :func:`spectrum_entropy` sums it: eigenvalues at or below
         ``EIGENVALUE_CLAMP`` contribute zero to both.  At full rank this is
         the exact derivative; on a rank-deficient marginal it is that of the
@@ -342,19 +332,21 @@ class _Scorer:
         if self.rows is not None:
             w = np.zeros((k, m * m, d_a), dtype=complex)
             w[:, self.rows, :] = x
-        swapped = w.reshape(k, m, m, d_a).swapaxes(1, 2).reshape(k, m * m, d_a)
-        y, t = _conjugate(self.rho, d_r, d_a, np.concatenate([w, swapped]))
-        t_rb = np.trace(t.reshape(2 * k, d_r, m, m, d_r, m, m), axis1=3, axis2=6)
+        w = np.concatenate([w, w.reshape(k, m, m, d_a).swapaxes(1, 2).reshape(k, m * m, d_a)])
+        y = (w[:, None, None] @ self.rho).reshape(2 * k, d_r * d_r * m, m * d_a)  # (c, r b, e a')
+        t_rb = y @ w.conj().reshape(2 * k, m, m * d_a).swapaxes(1, 2)              # (c r b, b')
+        t_rb = t_rb.reshape(2 * k, d_r, d_r, m, m).transpose(0, 2, 3, 1, 4)      # (r, b, c, b')
         s_rb, k_rb = _entropy_derivative(t_rb.reshape(2 * k, d_r * m, d_r * m))
         s_b, k_b = _entropy_derivative(np.trace(t_rb, axis1=1, axis2=3))
         scores = (self.s_r + s_b - s_rb).reshape(2, k).T
         # dI(R:B) = tr(dt_b k_b) - tr(dt_rb k_rb) = tr(dt_rb a) on R (x) B, and
         # d tr(A t) = 2 Re tr(A (1 (x) dw) rho (1 (x) w)^dag) for Hermitian A,
-        # so the Euclidean gradient in w is z = 2 tr_R(A y) with A = a (x) 1_E.
-        a = np.eye(d_r)[:, None, :, None] * k_b[:, None, :, None, :]
-        a = a - k_rb.reshape(2 * k, d_r, m, d_r, m)
-        q = a.reshape(2 * k, d_r * m, d_r * m) @ y.reshape(2 * k, d_r * m, m * d_r * d_a)
-        z = 2.0 * np.trace(q.reshape(2, k, d_r, m, m, d_r, d_a), axis1=2, axis2=5)
+        # so the Euclidean gradient in w is z = 2 tr_R(A y) with A = a (x) 1_E,
+        # here with a laid out as (b, c, r b') so that one product with y
+        # contracts r b' and traces c.
+        a = k_b[:, :, None, None, :] * np.eye(d_r)[:, :, None]
+        a = a - k_rb.reshape(2 * k, d_r, m, d_r, m).swapaxes(1, 2)
+        z = 2.0 * (a.reshape(2 * k, m, d_r * d_r * m) @ y).reshape(2, k, m, m, d_a)
         z = np.stack([z[0], z[1].swapaxes(1, 2)], axis=1).reshape(k, 2, m * m, d_a)
         return x, scores, _tangent(x[:, None], z if self.rows is None else z[:, :, self.rows, :])
 

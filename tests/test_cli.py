@@ -341,6 +341,16 @@ def test_bad_eps_is_a_usage_error(tmp_path, capsys, eps):
     assert "--eps" in capsys.readouterr().err
 
 
+def test_negative_grid_is_a_usage_error(tmp_path, capsys):
+    # It used to pass argparse and fail in the sweep (exit 3); its message is
+    # the one --eps gives.
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", "--state", make_bell(tmp_path), "--eps-grid=-0.5:1:0.5"])
+    assert err.value.code == 2
+    message = "privacy level must be a real number >= 0 or inf, got -0.5"
+    assert f"argument --eps-grid: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("fidelity", ["1.5", "nan", "abc"])
 def test_bad_fidelity_is_a_usage_error(tmp_path, capsys, fidelity):
     out = tmp_path / "iso.json"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
@@ -668,6 +669,7 @@ class TestBatchedScorer:
         for d_r, d_a, d_b, d_e, m in [
             (3, 3, 3, 3, None), (2, 2, 2, 3, None), (2, 2, 3, 2, None),
             (2, 2, 1, 3, None), (3, 2, 4, 5, None), (2, 2, 3, 3, 3),
+            (2, 4, 4, 4, None), (2, 3, 4, 3, None),
         ]:
             rho = random_density(d_r * d_a, d_r * d_a, 3, labels=("R", "A"), dims=(d_r, d_a))
             scorer = measurement_scorer(rho, m) if m else dec._Scorer(rho.matrix, d_r, d_a, d_b, d_e)
@@ -711,6 +713,23 @@ class TestBatchedScorer:
         back = swapped_grads[:, 0].reshape(3, d, d, d_a).swapaxes(1, 2).reshape(3, d * d, d_a)
         assert np.abs(scores[:, 1] - swapped_scores[:, 0]).max() <= 1e-13
         assert np.abs(grads[:, 1] - back).max() <= 1e-13
+
+    def test_the_marginal_is_formed_without_the_whole_output(self):
+        # At the size of three copies of a qubit pair (d_r = d_a = d_b = d_e
+        # = 8), one candidate's conjugated state and that of its swap, two
+        # operators on R (x) B (x) E, would take 8.4 MB; evaluate forms only
+        # the R (x) B marginal.
+        d = 8
+        rho = random_density(d * d, d * d, 8, labels=("R", "A"), dims=(d, d))
+        scorer = dec._Scorer(rho.matrix, d, d, d, d)
+        p = random_point(d * d, d, 8)[None]
+        tracemalloc.start()
+        try:
+            scorer.evaluate(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (d * d * d) ** 2 * 16
 
 
 class TestExactGradient:
@@ -789,12 +808,17 @@ class TestExactGradient:
 
     @pytest.mark.parametrize(
         "d_r, d_a, d_b, d_e, eps, lam",
-        [(3, 2, 4, 5, 0.01, [0.3, 0.5]), (4, 4, 4, 4, UNBOUNDED, [])],
+        [
+            (3, 2, 4, 5, 0.01, [0.3, 0.5]),
+            (4, 4, 4, 4, UNBOUNDED, []),
+            (2, 3, 3, 4, 0.01, [0.3, 0.5]),
+        ],
     )
     def test_distinct_factor_dimensions(self, d_r, d_a, d_b, d_e, eps, lam):
         # Four distinct dimensions, so a transposed R trace or a B/E axis mix-up
-        # in the gradient changes its shape or its value; and a d_a = 4 case the
-        # size of two copies of a qubit state.
+        # in the gradient changes its shape or its value; a d_a = 4 case the
+        # size of two copies of a qubit state; and d_r < d_a, so that the two R
+        # axes of the gradient's contraction cannot stand in for A.
         rho = random_density(d_r * d_a, d_r * d_a, 94 + d_b, labels=("R", "A"), dims=(d_r, d_a))
         x = random_point(d_b * d_e, d_a, 7)
         scorer, merit = penalized_problem(rho, d_b, d_e, eps, lam, 2000.0)
