@@ -102,7 +102,11 @@ def _grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"grid must look like A:B:STEP, got {text!r}")
     lo, hi = (dec._check_eps(float(p)) for p in parts[:2])
     step = float(parts[2])
-    if not (step > 0.0 and hi >= lo and all(map(math.isfinite, (lo, hi, step)))):
+    unbounded = [end for end, v in (("A", lo), ("B", hi)) if math.isinf(v)]
+    if unbounded:
+        ends = "ends A and B" if len(unbounded) == 2 else f"end {unbounded[0]}"
+        raise argparse.ArgumentTypeError(f"grid {text!r} has unbounded {ends}; both must be finite")
+    if not (step > 0.0 and hi >= lo and math.isfinite(step)):
         raise argparse.ArgumentTypeError("grid must be ascending with a positive step")
     edge = hi + 1e-9 * max(1.0, abs(hi))
     span = (edge - lo) / step

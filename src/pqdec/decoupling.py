@@ -45,8 +45,10 @@ MIN_DECREASE = 1e-13
 GRAD_TOL = 1e-9
 # (s, y) pairs L-BFGS keeps for its inverse-Hessian estimate.
 LBFGS_PAIRS = 8
-# Length of a restart's first step along -g, and the cap on later reset steps.
-RESET_STEP = 0.3
+# Longest trial step of L-BFGS, on a manifold a few units across: the length
+# of a restart's first step along -g and of the step after a reset of the
+# memory, and the cap on every quasi-Newton step.
+MAX_STEP = 0.3
 # Kept shares this close to the best tie; optimize_xi takes the first restart.
 TIE_TOL = 1e-9
 # Smoothing widths of the larger share, one per round, of an unconstrained
@@ -197,7 +199,8 @@ class OptimizerOptions:
     iterations, half that plus one from the sixth round on; always at least
     one.  Each round after the first goes on from the point where the round
     before it stopped, without scoring it again, and its first step has the
-    length of that round's last accepted step, at most 0.3.
+    length of that round's last accepted step.  No trial step is longer than
+    0.3 (``MAX_STEP``).
     ``povm_elements`` sets the number of measurement outcomes for
     :func:`povm_upper` (default: the acted factor's dimension).  Counts must
     be positive integers and ``seed`` a non-negative one, by the rule of
@@ -391,12 +394,18 @@ def _lbfgs(merit, start, iters, step):
     from the two-loop recursion over the last ``LBFGS_PAIRS`` (s, y) pairs
     (Nocedal & Wright, *Numerical Optimization*, 2006, alg. 7.4), taken as
     ambient differences of points and of gradients, and are projected onto
-    the tangent space at ``x``; with no pairs, or no descent, the pairs are
-    dropped and the step is ``-g`` scaled to length ``step``, which each
-    accepted step ``a d`` sets to ``min(RESET_STEP, a |d|)``.  A step of length
-    ``a`` along ``d`` goes to the retraction ``q_factor(x + a d)`` (Absil,
-    Mahony & Sepulchre, *Optimization Algorithms on Matrix Manifolds*, 2008,
-    sec. 4.1), and is halved, at most 30 times, until the Armijo condition
+    the tangent space at ``x``; a descent direction longer than ``MAX_STEP``
+    is scaled to that length, so no trial step ``a d`` is longer.  With no
+    pairs, or no descent, the pairs are dropped and the step is ``-g`` scaled
+    to length ``step``.  An accepted step ``a d`` whose pair has positive
+    curvature ``s.y`` joins the pairs and sets ``step`` to ``a |d|``; one
+    with ``s.y <= 0`` cannot (the update needs ``s.y > 0``, Nocedal & Wright,
+    sec. 7.2), so it restarts the memory: the pairs are dropped and ``step``
+    is ``MAX_STEP``, and the next step is a full-length step along ``-g``,
+    not one of stale pairs.  A step of length ``a`` along ``d`` goes to the
+    retraction ``q_factor(x + a d)`` (Absil, Mahony & Sepulchre,
+    *Optimization Algorithms on Matrix Manifolds*, 2008, sec. 4.1), and is
+    halved, at most 30 times, until the Armijo condition
     (c = 1e-4) holds and the merit drops by more than ``MIN_DECREASE``.
     Returns ``((x, scores, grads), stationary, step)``: the final accepted
     point with its raw scores and the raw gradients of both scores there,
@@ -429,6 +438,8 @@ def _lbfgs(merit, start, iters, step):
             pairs.clear()
             d = -g * (step / gn)
             slope = -step * gn
+        elif (dn := math.sqrt(_inner(d, d))) > MAX_STEP:
+            d, slope = d * (MAX_STEP / dn), slope * (MAX_STEP / dn)
         a = 1.0
         for _ in range(30):
             if -a * slope <= MIN_DECREASE:
@@ -445,7 +456,9 @@ def _lbfgs(merit, start, iters, step):
         sy = _inner(s, y)
         if sy > 0.0:
             pairs = pairs[-(LBFGS_PAIRS - 1) :] + [(s, y, 1.0 / sy, sy / _inner(y, y))]
-        step = min(RESET_STEP, a * math.sqrt(_inner(d, d)))
+            step = a * math.sqrt(_inner(d, d))
+        else:
+            pairs, step = [], MAX_STEP
         x, scores, grads, value, g = cand, trial, trial_grads, v, g_new
     return (x, scores, grads), False, step
 
@@ -539,9 +552,10 @@ def _solve_restart(
     for ``x`` once; each round after the first starts from the evaluated
     point ``(x, scores, grads)`` that the round before it returned, so a
     start is never scored twice, and its reset step (see :func:`_lbfgs`)
-    has the length of the last accepted step, ``RESET_STEP`` at first,
-    carried from round to round.  Rounds get ``opts.iterations // 40``
-    L-BFGS iterations each, half that plus one from the sixth on; the loop
+    has the length :func:`_lbfgs` returns, ``MAX_STEP`` at first and after
+    a step with ``s.y <= 0``, else the last accepted step, carried from
+    round to round.  Rounds get ``opts.iterations // 40`` L-BFGS
+    iterations each, half that plus one from the sixth on; the loop
     stops after the fifth round once every constraint holds within
     ``FEASIBLE_TOL``, and after the eighth in any case.  With no constraint
     (equal outputs, unbounded privacy) round ``k`` instead minimizes the
@@ -569,7 +583,7 @@ def _solve_restart(
         widths, per_round = (0.0,) * 8, max(1, opts.iterations // 40)
     else:
         widths, per_round = SMOOTHING_WIDTHS, max(1, opts.iterations // 8)
-    point, step = (yield x), RESET_STEP
+    point, step = (yield x), MAX_STEP
     for k, delta in enumerate(widths):
         mu = 200.0 * 10.0**k
         merit = partial(_lagrangian, eps=eps, lam=lam, mu=mu, symmetric=symmetric, delta=delta)

@@ -10,7 +10,7 @@ substream seeds by adding fixed offsets.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from math import prod
 from typing import Sequence
 
@@ -51,20 +51,24 @@ class DensityMatrix:
     at ``qmat.DENSITY_TOL``: finite, square with the signature's side,
     Hermitian and of trace 1 within 1e-9, with no eigenvalue below -1e-9.
     Anything else raises :class:`ValidationError`.  The check does not clean:
-    the matrix is kept as given, as ``complex128``; :func:`as_density` cleans.
+    the matrix is kept as given, as ``complex128``.  With ``clean=tol`` (what
+    :func:`as_density` passes) the check runs within ``tol`` instead, and the
+    cleaned copy that :func:`qmat.validate_density` returns is kept; it
+    passes the check at ``qmat.DENSITY_TOL``, so it is not checked again.
     """
 
     matrix: np.ndarray
     sig: DimSig
+    clean: InitVar[float | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, clean):
         m = qmat.complex_array(self.matrix, "density matrix entries")
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != self.sig.side:
             raise ValidationError(
                 f"matrix shape {m.shape} does not match signature side {self.sig.side}"
             )
-        qmat.validate_density(m)
-        object.__setattr__(self, "matrix", m)
+        cleaned = qmat.validate_density(m, qmat.DENSITY_TOL if clean is None else clean)
+        object.__setattr__(self, "matrix", m if clean is None else cleaned)
 
     def marginal(self, keep: str | Sequence[str]) -> "DensityMatrix":
         """Reduced state on the named factors (induced order)."""
@@ -99,11 +103,12 @@ class PureState:
 def as_density(matrix: np.ndarray, sig: DimSig, tol: float = qmat.DENSITY_TOL) -> DensityMatrix:
     """Validate, clean, and wrap a loaded or computed matrix as a :class:`DensityMatrix`.
 
-    :func:`qmat.validate_density` checks ``matrix`` within ``tol`` and
-    returns it cleaned: Hermitian, eigenvalues clamped at 0 and trace 1, so
-    that the result passes the constructor's check at ``qmat.DENSITY_TOL``.
+    The constructor's check, :func:`qmat.validate_density` within ``tol``, is
+    the only one: the state keeps the cleaned matrix it returns, Hermitian,
+    with eigenvalues clamped at 0 and trace 1.
     """
-    return DensityMatrix(qmat.validate_density(matrix, tol), sig)
+    # Checked first: ``clean=None`` would keep the matrix uncleaned.
+    return DensityMatrix(matrix, sig, clean=qmat.real(tol, 0.0, "validation tolerance"))
 
 
 def to_density(psi: PureState) -> DensityMatrix:

@@ -213,11 +213,21 @@ def test_grid_values():
     assert _grid_value("0:0.3:0.1") == [0.0, 0.1, 0.2, 0.30000000000000004]
 
 
-@pytest.mark.parametrize("text", ["1e20:1e20:1", "0:1:1e-12", "0:1:inf"])
-def test_unbounded_grid_is_a_usage_error(text):
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("1e20:1e20:1", "more than 10000 points", id="1e20:1e20:1"),
+        pytest.param("0:1:1e-12", "more than 10000 points", id="0:1:1e-12"),
+        pytest.param("0:1:inf", "ascending with a positive step", id="0:1:inf"),
+        pytest.param("0:inf:1", "unbounded end B;", id="0:inf:1"),
+        pytest.param("inf:inf:1", "unbounded ends A and B;", id="inf:inf:1"),
+    ],
+)
+def test_unbounded_grid_is_a_usage_error(text, message):
     # The first two used to append points without end (the step does not
-    # advance 1e20; 10^12 points), the third returned [nan].
-    with pytest.raises(argparse.ArgumentTypeError):
+    # advance 1e20; 10^12 points), the third returned [nan].  The last two
+    # used to say "grid must be ascending with a positive step".
+    with pytest.raises(argparse.ArgumentTypeError, match=message):
         _grid_value(text)
 
 

@@ -243,7 +243,7 @@ class TestOptimize:
         # off the kink and asks for trial points at every smoothing width,
         # while the others stop after one round, so at batch widths 1, 2 and
         # 3 the restarts change their smoothing width at different batches.
-        rho = random_density(4, 4, 32, labels=("R", "A"), dims=(2, 2))
+        rho = random_density(4, 4, 22, labels=("R", "A"), dims=(2, 2))
         opts = OptimizerOptions(restarts=4, iterations=80, seed=7)
         asked = []  # the smoothing width of each trial point
         lbfgs = dec._lbfgs
@@ -285,11 +285,27 @@ class TestOptimize:
         # The 40 study_2x2 states of the bench at seed 1 (criterion-06
         # states, 6 x 800).  One L-BFGS run on the exact larger share
         # zigzagged across the kink m_b = m_e and made 2160 evaluate calls;
-        # rounds on the smoothed share make 979.  The gate is 0.6 x 2160.
+        # rounds on the smoothed share made 979, and with trial steps capped
+        # at MAX_STEP and the memory restarted on negative curvature they
+        # make 800.  The gate is 0.6 x 2160.
         for seed in range(100_000, 100_040):
             rho = random_density(4, 4, seed, labels=("R", "A"), dims=(2, 2))
             optimize_xi(rho, UNBOUNDED, OptimizerOptions(restarts=6, iterations=800, seed=seed))
         assert len(evaluate_calls) <= 0.6 * 2160
+
+    def test_study_evaluation_count(self, evaluate_calls):
+        # The bench's study_2x2 op, bounds_report then optimize_xi, on the
+        # same 40 states.  Two-loop directions up to 375 long, some of them
+        # halved 8 times, and pairs kept past steps with s.y <= 0 made 1811
+        # evaluate calls.  Capping every trial step at MAX_STEP and
+        # restarting the memory on negative curvature make 1356.  The gate
+        # is 0.85 x 1811.
+        for seed in range(100_000, 100_040):
+            rho = random_density(4, 4, seed, labels=("R", "A"), dims=(2, 2))
+            opts = OptimizerOptions(restarts=6, iterations=800, seed=seed)
+            bounds_report(rho, UNBOUNDED, opts)
+            optimize_xi(rho, UNBOUNDED, opts)
+        assert len(evaluate_calls) <= 0.85 * 1811
 
     @pytest.mark.parametrize("width", [1, 2, 3, None])
     def test_stop_rule_drops_later_restarts_at_any_width(self, batch_width, width):
@@ -535,15 +551,20 @@ class TestLbfgs:
         return m_b, 1.0, 0.0
 
     @staticmethod
-    def phase_reply(c):
-        """Answers for f = c phi^2 / 2 in the phase of a 1 x 1 isometry x = e^(i phi)."""
+    def curve_reply(f, df):
+        """Answers for f(phi) in the phase of a 1 x 1 isometry x = e^(i phi)."""
 
         def reply(p):
             x = q_factor(p)
             phi = float(np.angle(x[0, 0]))
-            return x, (0.5 * c * phi * phi, 0.0), np.stack([1j * c * phi * x, np.zeros_like(x)])
+            return x, (f(phi), 0.0), np.stack([1j * df(phi) * x, np.zeros_like(x)])
 
         return reply
+
+    @classmethod
+    def phase_reply(cls, c):
+        """Answers for f = c phi^2 / 2."""
+        return cls.curve_reply(lambda phi: 0.5 * c * phi * phi, lambda phi: c * phi)
 
     def test_an_accepted_unit_step_costs_one_request(self):
         # The weighted trace f = Re tr(x^dag a x w) on 4 x 2 isometries,
@@ -597,6 +618,36 @@ class TestLbfgs:
         _, asked = drive(dec._lbfgs(self.merit, point, 1, step), reply)
         want = x - grads[0] * (step / np.linalg.norm(grads[0]))
         assert np.abs(asked[0] - want).max() <= 1e-15
+
+    def test_a_long_direction_is_asked_at_the_longest_step(self):
+        # A flat quadratic, c = 0.1, from phi = 1.  After the first step,
+        # of length 0.3 along -g, the secant direction points at the minimum,
+        # about 0.7 away; it is asked at length exactly MAX_STEP instead.
+        reply = self.phase_reply(0.1)
+        start = reply(np.exp(1j).reshape(1, 1))
+        (_, stationary, _), asked = drive(dec._lbfgs(self.merit, start, 2, 0.3), reply)
+        assert not stationary and len(asked) == 2
+        x1 = reply(asked[0])[0]
+        assert np.angle(x1[0, 0]) > 2 * dec.MAX_STEP
+        assert abs(np.linalg.norm(asked[1] - x1) - dec.MAX_STEP) <= 1e-15
+
+    def test_negative_curvature_restarts_the_memory(self):
+        # f = phi + 100 phi^3 / 3 from phi = 0.3 curves upward while phi > 0:
+        # the first step, of length 0.3, keeps its pair, whose secant step is
+        # about 0.04 long.  The second step crosses phi = 0, and its pair has
+        # s.y < 0.  The memory restarts: the third request is a step of
+        # length MAX_STEP along -g, not a secant step of the first pair
+        # (0.04 long again).
+        reply = self.curve_reply(lambda phi: phi + 100 * phi**3 / 3, lambda phi: 1 + 100 * phi * phi)
+        start = reply(np.exp(0.3j).reshape(1, 1))
+        (_, stationary, _), asked = drive(dec._lbfgs(self.merit, start, 3, 0.3), reply)
+        assert not stationary and len(asked) == 3
+        (x0, _, g0), (x1, _, g1), (x2, _, g2) = start, reply(asked[0]), reply(asked[1])
+        assert dec._inner(x1 - x0, g1[0] - g0[0]) > 0.0
+        assert np.linalg.norm(asked[1] - x1) < 0.1
+        assert np.angle(x2[0, 0]) < 0.0 and dec._inner(x2 - x1, g2[0] - g1[0]) < 0.0
+        want = x2 - g2[0] * (dec.MAX_STEP / np.linalg.norm(g2[0]))
+        assert np.abs(asked[2] - want).max() <= 1e-15
 
     def test_a_constrained_restart_asks_for_its_start_once(self, monkeypatch):
         # Every augmented-Lagrangian round after the first starts from the
@@ -1018,9 +1069,10 @@ class TestRatesSweep:
         # The bench's 3x3 sweep at 4 x 600, seed 100000.  Rounds that each
         # re-scored their start and reset to a step of length 0.3 made 616
         # evaluate calls; handing each round its evaluated start and the
-        # last step length makes 425, and solving the eps = inf row by the
-        # unconstrained search instead of at half the QMI 370.  The gate is
-        # 0.85 x 616.
+        # last step length made 425, solving the eps = inf row by the
+        # unconstrained search instead of at half the QMI 396, and capping
+        # every trial step at MAX_STEP with the memory restarted on negative
+        # curvature 361.  The gate is 0.85 x 616.
         rho = random_density(9, 9, 3, labels=("R", "A"), dims=(3, 3))
         opts = OptimizerOptions(restarts=4, iterations=600, seed=100_000)
         res = rates_sweep(rho, [0.0, 0.02, 0.04, math.inf], opts)

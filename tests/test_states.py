@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pqdec import qmat
 from pqdec.entropics import entropy, mutual_information
 from pqdec.qmat import DimSig, ValidationError, kron, trace_distance
 from pqdec.states import (
@@ -209,6 +210,18 @@ def test_as_density_cleans_but_validates():
     assert np.linalg.eigvalsh(rho.matrix)[0] >= 0.0
     with pytest.raises(ValidationError):
         as_density(np.diag([1.5, -0.5]).astype(complex), DimSig((2,), ("Q",)))
+
+
+def test_as_density_checks_once(monkeypatch):
+    # The constructor keeps the cleaned copy of its one check; the copy used
+    # to be checked again, a second eigendecomposition per state.
+    calls = []
+    check = qmat.validate_density
+    monkeypatch.setattr(qmat, "validate_density", lambda *a: calls.append(1) or check(*a))
+    rho = random_density(4, 4, 5, labels=("R", "A"), dims=(2, 2))
+    loose = as_density(np.diag([1.0 + 5e-7, -5e-7]).astype(complex), DimSig((2,), ("Q",)), 1e-6)
+    assert calls == [1, 1] and np.linalg.eigvalsh(loose.matrix)[0] >= 0.0
+    assert np.array_equal(rho.matrix, rho.matrix.conj().T)
 
 
 def test_product_state_mutual_information_zero():
