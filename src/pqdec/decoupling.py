@@ -190,26 +190,25 @@ class OptimizerOptions:
     """Knobs for the multistart searches.
 
     ``d_b``/``d_e`` override the output dimensions (default: both equal the
-    acted factor's dimension).  ``iterations`` is the per-restart descent
-    budget: at unbounded privacy with equal outputs a restart runs one to
-    three L-BFGS rounds of ``iterations // 8`` iterations on the larger
-    share, smoothed ever more finely, and stops after the first round whose
-    smoothed value ends within ``TIE_TOL`` of the larger share; otherwise it
-    runs five to eight augmented-Lagrangian rounds of ``iterations // 40``
-    iterations, half that plus one from the sixth round on; always at least
-    one.  Each round after the first goes on from the point where the round
-    before it stopped, without scoring it again, and its first step has the
-    length of that round's last accepted step.  No trial step is longer than
-    0.3 (``MAX_STEP``).
-    ``povm_elements`` sets the number of measurement outcomes for
-    :func:`povm_upper` (default: the acted factor's dimension).  Counts must
-    be positive integers and ``seed`` a non-negative one, by the rule of
+    acted factor's dimension) of :func:`optimize_xi`; :func:`povm_upper`
+    always searches ``d_a``-outcome measurements.  ``iterations`` is the
+    per-restart descent budget: at unbounded privacy with equal outputs a
+    restart runs one to three L-BFGS rounds of ``iterations // 8``
+    iterations on the larger share, smoothed ever more finely, and stops
+    after the first round whose smoothed value ends within ``TIE_TOL`` of
+    the larger share; otherwise it runs five to eight augmented-Lagrangian
+    rounds of ``iterations // 40`` iterations, half that plus one from the
+    sixth round on; always at least one.  Each round after the first goes on
+    from the point where the round before it stopped, without scoring it
+    again, and its first step has the length of that round's last accepted
+    step.  No trial step is longer than 0.3 (``MAX_STEP``).  Counts must be
+    positive integers and ``seed`` a non-negative one, by the rule of
     :func:`qmat.count`, and are stored as ``int``; anything else raises
     :class:`ValidationError`.  ``warm_theta``, if set, is the start of
-    restart 0: an isometry matrix of shape ``(d_b*d_e, d_a)``, finite and
-    with orthonormal columns within ``qmat.UNITARITY_TOL`` (a search raises
-    :class:`ValidationError` otherwise), such as an earlier outcome's
-    ``theta``.
+    restart 0 of :func:`optimize_xi`: an isometry matrix of shape
+    ``(d_b*d_e, d_a)``, finite and with orthonormal columns within
+    ``qmat.UNITARITY_TOL`` (a search raises :class:`ValidationError`
+    otherwise), such as an earlier outcome's ``theta``.
 
     ``threads`` is deprecated and ignored: the restarts of a search run in
     lockstep in one thread, and results never depended on it.
@@ -221,11 +220,10 @@ class OptimizerOptions:
     iterations: int = 2000
     seed: int = 0
     warm_theta: np.ndarray | None = None
-    povm_elements: int | None = None
     threads: int | None = None
 
     def __post_init__(self):
-        optional = {"d_b": 1, "d_e": 1, "povm_elements": 1}
+        optional = {"d_b": 1, "d_e": 1}
         required = {"restarts": 1, "iterations": 1, "seed": 0}
         for name, least in (optional | required).items():
             value = getattr(self, name)
@@ -275,8 +273,9 @@ class _Scorer:
     in exact arithmetic, and rounding lets rows off the family grow.
     Unequal outputs get the chart of rows ``(b, e)`` of the square
     ``m x m`` output, ``m = max(d_b, d_e)``, which the swap of B and E maps
-    to itself.  Every step works on the whole stack at once, and each
-    candidate's result is the same, bit for bit, whatever else shares it.
+    to itself, while it fixes each row of the measurement chart, scored
+    once per candidate.  Every step works on the whole stack at once, and
+    each candidate's result is the same, bit for bit, whatever else shares it.
     """
 
     def __init__(
@@ -296,6 +295,8 @@ class _Scorer:
         if rows is None and d_b != d_e:
             rows = (self.m * np.arange(d_b)[:, None] + np.arange(d_e)).ravel()
         self.rows = rows
+        # The swap S of B and E sends row m b + e to m e + b: it fixes |kk> rows.
+        self.copies = 1 if rows is not None and np.array_equal(rows // self.m, rows % self.m) else 2
         rho_r = np.trace(rho.reshape(d_r, d_a, d_r, d_a), axis1=1, axis2=3)
         self.s_r = spectrum_entropy(np.linalg.eigvalsh(rho_r))
 
@@ -309,17 +310,19 @@ class _Scorer:
         Riemannian gradients there of I(R:B) and of I(R:E).  Each is the
         Euclidean gradient for the inner product ``Re tr(a^dag b)``,
         projected onto the tangent space at ``x[k]`` (see :func:`_tangent`).
-        Only I(R:B) is computed, on a stack of ``2K``: each embedded
-        candidate ``w`` and its swap ``S w``, since I(R:E) at ``w`` is I(R:B)
-        at ``S w``, and its gradient is the one there with the rows permuted
-        back by ``S``.  The half product ``y = (1 (x) w) rho`` is formed
-        with the column R index of ``rho`` moved to the front, of shape
-        ``(2K, d_r, d_r, m*m, d_a)``.  One product of ``y`` with ``w^dag``,
+        Only I(R:B) is computed, on ``cK`` entries: each embedded candidate
+        ``w`` and its swap ``S w`` (``c = 2``), since I(R:E) at ``w`` is
+        I(R:B) at ``S w``, and its gradient is the one there with the rows
+        permuted back by ``S``; where ``S`` fixes every row of the chart, as
+        on the measurement chart, ``S w = w`` and each ``w`` is stacked once
+        (``c = 1``).  The half product ``y = (1 (x) w) rho`` is formed with
+        the column R index of ``rho`` moved to the front, of shape
+        ``(cK, d_r, d_r, m*m, d_a)``.  One product of ``y`` with ``w^dag``,
         which sums over E and the column A index together, gives the
-        R (x) B marginal ``t_rb``, of shape ``(2K, d_r, m, d_r, m)``;
+        R (x) B marginal ``t_rb``, of shape ``(cK, d_r, m, d_r, m)``;
         ``t_b`` is its trace over R.  The gradient is
         ``z = 2 tr_R((a (x) 1_E) y)`` with ``a`` on R (x) B, and one product
-        of ``a``, laid out as ``(2K, m, d_r*d_r*m)``, with ``y`` takes the
+        of ``a``, laid out as ``(cK, m, d_r*d_r*m)``, with ``y`` takes the
         trace over R with it.  No operator on the whole of R (x) B (x) E is
         formed.  One eigendecomposition per marginal gives its entropy and
         the entropy's derivative, on the support of the marginal as
@@ -328,29 +331,31 @@ class _Scorer:
         the exact derivative; on a rank-deficient marginal it is that of the
         clamped entropy, which stays finite where the unclamped one diverges.
         """
-        (d_r, d_a, _, _), m = self.dims, self.m
+        (d_r, d_a, _, _), m, copies = self.dims, self.m, self.copies
         x = qmat.q_factor(p)
         k = len(x)
         w = x
         if self.rows is not None:
             w = np.zeros((k, m * m, d_a), dtype=complex)
             w[:, self.rows, :] = x
-        w = np.concatenate([w, w.reshape(k, m, m, d_a).swapaxes(1, 2).reshape(k, m * m, d_a)])
-        y = (w[:, None, None] @ self.rho).reshape(2 * k, d_r * d_r * m, m * d_a)  # (c, r b, e a')
-        t_rb = y @ w.conj().reshape(2 * k, m, m * d_a).swapaxes(1, 2)              # (c r b, b')
-        t_rb = t_rb.reshape(2 * k, d_r, d_r, m, m).transpose(0, 2, 3, 1, 4)      # (r, b, c, b')
-        s_rb, k_rb = _entropy_derivative(t_rb.reshape(2 * k, d_r * m, d_r * m))
+        if copies == 2:
+            w = np.concatenate([w, w.reshape(k, m, m, d_a).swapaxes(1, 2).reshape(k, m * m, d_a)])
+        y = (w[:, None, None] @ self.rho).reshape(-1, d_r * d_r * m, m * d_a)  # (c, r b, e a')
+        t_rb = y @ w.conj().reshape(-1, m, m * d_a).swapaxes(1, 2)              # (c r b, b')
+        t_rb = t_rb.reshape(-1, d_r, d_r, m, m).transpose(0, 2, 3, 1, 4)      # (r, b, c, b')
+        s_rb, k_rb = _entropy_derivative(t_rb.reshape(-1, d_r * m, d_r * m))
         s_b, k_b = _entropy_derivative(np.trace(t_rb, axis1=1, axis2=3))
-        scores = (self.s_r + s_b - s_rb).reshape(2, k).T
+        # The last copy is S w, or w itself where S fixes the chart.
+        scores = (self.s_r + s_b - s_rb).reshape(copies, k)[[0, -1]].T
         # dI(R:B) = tr(dt_b k_b) - tr(dt_rb k_rb) = tr(dt_rb a) on R (x) B, and
         # d tr(A t) = 2 Re tr(A (1 (x) dw) rho (1 (x) w)^dag) for Hermitian A,
         # so the Euclidean gradient in w is z = 2 tr_R(A y) with A = a (x) 1_E,
         # here with a laid out as (b, c, r b') so that one product with y
         # contracts r b' and traces c.
         a = k_b[:, :, None, None, :] * np.eye(d_r)[:, :, None]
-        a = a - k_rb.reshape(2 * k, d_r, m, d_r, m).swapaxes(1, 2)
-        z = 2.0 * (a.reshape(2 * k, m, d_r * d_r * m) @ y).reshape(2, k, m, m, d_a)
-        z = np.stack([z[0], z[1].swapaxes(1, 2)], axis=1).reshape(k, 2, m * m, d_a)
+        a = a - k_rb.reshape(-1, d_r, m, d_r, m).swapaxes(1, 2)
+        z = 2.0 * (a.reshape(-1, m, d_r * d_r * m) @ y).reshape(copies, k, m, m, d_a)
+        z = np.stack([z[0], z[-1].swapaxes(1, 2)], axis=1).reshape(k, 2, m * m, d_a)
         return x, scores, _tangent(x[:, None], z if self.rows is None else z[:, :, self.rows, :])
 
 
@@ -730,14 +735,13 @@ def optimize_xi(
 
 
 def povm_upper(state: DensityMatrix, opts: OptimizerOptions | None = None) -> float:
-    """Least kept correlations over rank-one measurement isometries.
+    """Least kept correlations over basis-measurement isometries.
 
-    Searches the ``m x d_a`` isometries (``m = opts.povm_elements``, default
-    the acted dimension) whose rows ``<k|`` are the measurement vectors,
-    embeds each in the rows ``|k>_B (x) |k>_E`` of an ``m*m``-dimensional
-    output, and runs the
+    Searches the ``d_a x d_a`` unitaries whose rows ``<k|`` are the vectors
+    of a ``d_a``-outcome measurement, embeds each in the rows
+    ``|k>_B (x) |k>_E`` of a ``d_a*d_a``-dimensional output, and runs the
     unbounded-privacy search of :func:`optimize_xi` over that sub-family,
-    from the identity and the Fourier measurement, stopping at
+    from the computational and the Fourier measurement, stopping at
     :func:`xi_infinity`.  Both outputs of a measurement isometry carry
     identical correlations with the reference, so the larger share that the
     search minimizes is their common value.  The result is an upper bound on
@@ -745,13 +749,8 @@ def povm_upper(state: DensityMatrix, opts: OptimizerOptions | None = None) -> fl
     """
     opts = opts if opts is not None else OptimizerOptions()
     _, _, d_r, d_a = _bipartite(state)
-    m = opts.povm_elements if opts.povm_elements is not None else d_a
-    if m < d_a:
-        raise ValidationError(
-            f"need at least {d_a} measurement outcomes, got {m}"
-        )
-    scorer = _Scorer(state.matrix, d_r, d_a, m, m, rows=isometries.record_rows(m, m))
-    starts = [np.eye(m, d_a, dtype=complex), isometries.fourier_basis(m)[:, :d_a]]
+    scorer = _Scorer(state.matrix, d_r, d_a, d_a, d_a, rows=isometries.record_rows(d_a, d_a))
+    starts = [np.eye(d_a, dtype=complex), isometries.fourier_basis(d_a)]
     results = _run_restarts(scorer, UNBOUNDED, opts, xi_infinity(state), starts)
     return float(min(res["i_rb"] for res in results))
 
@@ -801,12 +800,11 @@ def bounds_report(
 class SweepRow:
     """One point of :func:`rates_sweep`: ``i_rb``, ``i_re``, ``feasible``,
     ``restarts_used`` and ``converged`` of :func:`optimize_xi` at ``eps``;
-    ``xi_raw`` is ``i_rb``, ``xi_envelope`` its running minimum (an upper
-    bound on the optimum, which never increases with ``eps``); the bounds
+    ``xi_envelope`` the running minimum of ``i_rb`` (an upper bound on the
+    optimum, which never increases with ``eps``); the bounds
     ``prop1_lower`` at ``eps`` and ``half_qmi_upper`` are reported, not imposed."""
 
     eps: float
-    xi_raw: float
     xi_envelope: float
     i_rb: float
     i_re: float
@@ -851,7 +849,6 @@ def rates_sweep(
         rows.append(
             SweepRow(
                 eps=eps,
-                xi_raw=outcome.i_rb,
                 xi_envelope=envelope,
                 i_rb=outcome.i_rb,
                 i_re=outcome.i_re,

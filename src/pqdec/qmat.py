@@ -130,7 +130,7 @@ def real(value, least: float, what: str, most: float = inf, unbounded: bool = Fa
         span = f">= {least:g}" if isinf(most) else f"in [{least:g}, {most:g}]"
         rule = f"real number {span} or inf" if unbounded else f"finite real number {span}"
         raise ValidationError(f"{what} must be a {rule}, got {value!r}".lstrip())
-    return float(value)
+    return float(value) + 0.0  # -0.0 as 0.0
 
 
 def complex_array(value, what: str) -> np.ndarray:

@@ -99,6 +99,11 @@ def test_optimize_with_eps_and_dims(tmp_path, capsys):
     assert payload["d_b"] == 2 and payload["d_e"] == 2
 
 
+def test_negative_zero_eps_prints_as_zero(tmp_path, capsys):
+    assert main(["optimize", "--state", make_bell(tmp_path), "--eps=-0"] + FAST) == 0
+    assert '"epsilon": 0.0,' in capsys.readouterr().out
+
+
 def test_sweep_csv(tmp_path, capsys):
     bell = make_bell(tmp_path)
     out = tmp_path / "sweep.csv"
@@ -125,7 +130,7 @@ def test_sweep_csv_shape(tmp_path, capsys):
     assert args.func(args) == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == (
-        "eps,xi_raw,xi_envelope,i_rb,i_re,prop1_lower,half_qmi_upper,"
+        "eps,xi_envelope,i_rb,i_re,prop1_lower,half_qmi_upper,"
         "feasible,restarts_used,converged"
     )
     assert len(lines) == 3

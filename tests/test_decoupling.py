@@ -172,7 +172,7 @@ class TestOptimizerOptions:
             {"iterations": 600.5},
             {"d_b": 2.5},
             {"d_b": -2, "d_e": -2},
-            {"povm_elements": math.nan},
+            {"d_e": 0},
             {"seed": -5},
         ],
     )
@@ -489,6 +489,26 @@ class TestPovmUpper:
             rho = random_density(4, 4, seed + 60, labels=("R", "A"), dims=(2, 2))
             assert povm_upper(rho, FAST) <= half_qmi_upper(rho) + 1e-6
 
+    def test_values_pinned_bit_for_bit(self):
+        # Exact reprs: a change to the measurement search that moves any bit
+        # of its result shows here.
+        pinned = [
+            (BELL, FAST, "1.0"),
+            (isotropic(3, 0.5), FAST, "0.25552849779619047"),
+            (
+                random_density(4, 4, 600, labels=("R", "A"), dims=(2, 2)),
+                OptimizerOptions(restarts=6, iterations=800, seed=600),
+                "0.00022455607972293734",
+            ),
+            (
+                random_density(9, 9, 3300, labels=("R", "A"), dims=(3, 3)),
+                OptimizerOptions(restarts=4, iterations=600, seed=3300),
+                "0.05293281222047108",
+            ),
+        ]
+        for rho, opts, value in pinned:
+            assert repr(povm_upper(rho, opts)) == value
+
 
 def random_point(n, d_a, seed):
     """An ``n x d_a`` isometry matrix: the first columns of a Haar unitary."""
@@ -750,6 +770,32 @@ class TestBatchedScorer:
             for m_b, m_e in scores:
                 smoothed = dec._lagrangian(m_b, m_e, UNBOUNDED, [], 1.0, True, dec.SMOOTHING_WIDTHS[0])
                 assert smoothed == (m_b, 0.5, 0.5)
+
+    def test_measurement_chart_is_scored_once(self, monkeypatch, evaluate_calls):
+        # The swap of B and E fixes each |kk> row, so the measurement chart
+        # stacks its K candidates once; every other chart stacks them with
+        # their swaps, 2K entries.
+        sizes = []
+        entropy_derivative = dec._entropy_derivative
+        monkeypatch.setattr(
+            dec, "_entropy_derivative", lambda s: sizes.append(len(s)) or entropy_derivative(s)
+        )
+        rho = random_density(4, 4, 7, labels=("R", "A"), dims=(2, 2))
+        for scorer, copies in [
+            (measurement_scorer(rho, 2), 1),
+            (measurement_scorer(rho, 3), 1),
+            (dec._Scorer(rho.matrix, 2, 2, 2, 2), 2),
+            (dec._Scorer(rho.matrix, 2, 2, 2, 3), 2),
+            (dec._Scorer(rho.matrix, 2, 2, 3, 2), 2),
+        ]:
+            sizes.clear()
+            scorer.evaluate(np.stack([random_point(scorer.n, 2, seed) for seed in range(3)]))
+            assert sizes == [3 * copies] * 2
+        # And the chart that povm_upper builds for itself.
+        sizes.clear()
+        evaluate_calls.clear()
+        povm_upper(rho, FAST)
+        assert sizes == [k for k in evaluate_calls for _ in range(2)]
 
     @pytest.mark.parametrize("d_r, d_a, d", [(2, 2, 2), (3, 3, 3), (2, 3, 2)])
     def test_swapping_the_outputs_swaps_the_scores(self, d_r, d_a, d):
@@ -1024,7 +1070,7 @@ class TestRatesSweep:
         res = rates_sweep(BELL, [0.0, 0.5, 1.0], FAST)
         best = math.inf
         for row in res.rows:
-            best = min(best, row.xi_raw)
+            best = min(best, row.i_rb)
             assert row.xi_envelope == best
         env = [row.xi_envelope for row in res.rows]
         assert all(b <= a + 1e-12 for a, b in zip(env, env[1:]))
@@ -1032,13 +1078,13 @@ class TestRatesSweep:
     def test_product_state_flatlines(self):
         res = rates_sweep(product_state(), [0.0, 0.5], FAST)
         for row in res.rows:
-            assert row.xi_raw <= 1e-6
+            assert row.i_rb <= 1e-6
 
     def test_classical_bit_all_points_shredded(self):
         opts = OptimizerOptions(restarts=6, iterations=800, seed=0)
         res = rates_sweep(CC_BIT, [0.0, 0.25, 0.5], opts)
         for row in res.rows:
-            assert row.xi_raw <= 1e-4
+            assert row.i_rb <= 1e-4
 
     def test_each_row_is_optimize_xi_at_its_own_eps(self):
         # The warm-start chain replayed by hand: every row, eps = inf too,
@@ -1054,7 +1100,7 @@ class TestRatesSweep:
         opts = OptimizerOptions(restarts=4, iterations=400, seed=0)
         unbounded = optimize_xi(BELL, UNBOUNDED, opts)
         for row in rates_sweep(BELL, [5.0, math.inf], opts).rows:
-            assert abs(row.xi_raw - unbounded.i_rb) <= 2e-2
+            assert abs(row.i_rb - unbounded.i_rb) <= 2e-2
 
     def test_unbounded_row_runs_the_unconstrained_search(self):
         # Solved at half the QMI, this row ended unconverged at 0.507731686524;

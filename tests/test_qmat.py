@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pqdec import isometries as iso
+from pqdec import qmat
 from pqdec import scenarios as scn
 from pqdec import states as st
 from pqdec import decoupling as dec
@@ -277,7 +278,7 @@ COUNT_ENTRY_POINTS = {
     "DimSig": (lambda n: DimSig((n, 2), ("R", "A")).dims[0], 1),
     **{
         f"OptimizerOptions.{f}": (_option(f), 1)
-        for f in ("restarts", "iterations", "d_b", "d_e", "povm_elements")
+        for f in ("restarts", "iterations", "d_b", "d_e")
     },
     "OptimizerOptions.seed": (_option("seed"), 0),
     **{f"isometry_from_json.{k}": (_isometry_field(k), 1) for k in ("d_in", "d_B", "d_E")},
@@ -361,6 +362,11 @@ def test_real_rule(name):
     for good in [1, 1.0, np.float64(0.5)] + ([math.inf] if unbounded else []):
         got, want = call(good), call(float(good))
         assert got == want and type(got) is type(want)
+
+
+def test_real_rule_stores_negative_zero_as_zero():
+    assert math.copysign(1.0, qmat.real(-0.0, 0.0, "x")) == 1.0
+    assert math.copysign(1.0, dec.optimize_xi(_BELL, -0.0, _TINY).epsilon) == 1.0
 
 
 def _nan_at_first(a):
