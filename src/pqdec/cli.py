@@ -89,6 +89,7 @@ _fidelity_value = _checked(
 )
 # argparse names the flag, so the count rule's message leaves the subject out.
 _positive_int = _checked(lambda text: qmat.count(int(text), 1, ""), "an integer")
+_dimension = _checked(lambda text: qmat.count(int(text), 2, ""), "an integer")
 _seed_value = _checked(lambda text: qmat.count(int(text), 0, ""), "an integer")
 
 
@@ -332,13 +333,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("make-state", help="write a named state as JSON")
     kinds = p.add_subparsers(dest="kind", required=True)
     q = kinds.add_parser("bell", help="maximally entangled pair")
-    q.add_argument("--d", type=_positive_int, default=2)
+    q.add_argument("--d", type=_dimension, default=2)
     q.add_argument("--out", required=True)
     q = kinds.add_parser("cc", help="uniform basis-correlated pair")
     q.add_argument("--d", type=_positive_int, default=2)
     q.add_argument("--out", required=True)
     q = kinds.add_parser("isotropic", help="entangled pair mixed with white noise")
-    q.add_argument("--d", type=_positive_int, default=2)
+    q.add_argument("--d", type=_dimension, default=2)
     q.add_argument("--fidelity", type=_fidelity_value, default=0.9)
     q.add_argument("--out", required=True)
     q = kinds.add_parser("random", help="full or fixed-rank random bipartite state")

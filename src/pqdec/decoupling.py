@@ -468,10 +468,9 @@ def _lbfgs(merit, start, iters, step):
     return (x, scores, grads), False, step
 
 
-def _measurement_start(basis: np.ndarray, d_a: int, d_b: int, d_e: int) -> np.ndarray | None:
-    """The isometry that records a basis measurement in both outputs."""
-    if d_b < d_a or d_e < d_a:
-        return None
+def _measurement_start(basis: np.ndarray, d_a: int, d_b: int, d_e: int) -> np.ndarray:
+    """The isometry that records a basis measurement in both outputs, for
+    ``d_b, d_e >= d_a``."""
     v = np.zeros((d_b * d_e, d_a), dtype=complex)
     v[isometries.record_rows(d_a, d_e)] = basis.conj().T
     return v
@@ -615,19 +614,19 @@ def _run_restarts(
     eps: float,
     opts: OptimizerOptions,
     stop_value: float,
-    starts: Sequence[np.ndarray | None],
+    starts: Sequence[np.ndarray],
     width: int = LOCKSTEP_WIDTH,
 ):
     """Run the ``opts.restarts`` restarts of one search over the candidates of
     ``scorer`` in lockstep, and keep those up to the first that hits ``stop_value``.
 
     Restart ``idx`` is :func:`_solve_restart` from ``starts[idx]``; past the
-    list, or where an entry is None, it starts from the first columns of the
-    Haar unitary ``random_unitary(n, opts.seed + idx)``.  Up to ``width``
-    restarts are live at once, started in index order; each round answers
-    every live restart's pending point with one :meth:`_Scorer.evaluate`
-    call, which retracts the whole stack and returns the scores and the
-    gradients of both of them at once; each restart applies its own merit.
+    list it starts from the first columns of the Haar unitary
+    ``random_unitary(n, opts.seed + idx)``.  Up to ``width`` restarts are
+    live at once, started in index order; each round answers every live
+    restart's pending point with one :meth:`_Scorer.evaluate` call, which
+    retracts the whole stack and returns the scores and the gradients of
+    both of them at once; each restart applies its own merit.
     A finished restart that is at the bound (see :func:`_solve_restart`)
     drops every restart above it, running or not yet started, so the
     considered set is the one a serial run would stop at.  Each candidate
@@ -641,9 +640,8 @@ def _run_restarts(
     started, cutoff = 0, opts.restarts
     while True:
         while started < cutoff and len(gens) < width:
-            x0 = starts[started] if started < len(starts) else None
-            if x0 is None:
-                x0 = random_unitary(scorer.n, opts.seed + started)[:, :d_a]
+            x0 = (starts[started] if started < len(starts)
+                  else random_unitary(scorer.n, opts.seed + started)[:, :d_a])
             gens[started] = _solve_restart(x0, eps, opts, d_b == d_e, stop_value)
             asks[started] = next(gens[started])
             started += 1
@@ -671,10 +669,11 @@ def optimize_xi(
 
     Runs ``opts.restarts`` independent descents over ``d_b*d_e x d_a``
     isometry matrices (from the warm start or the identity embedding, at
-    unbounded privacy also from the computational and the Fourier
-    measurement, then from seeded Haar ones), each minimizing the larger
-    mutual information subject to the smaller one staying below ``eps`` by
-    rounds of Riemannian L-BFGS on an augmented Lagrangian, with a multiplier update after each round (see
+    unbounded privacy with ``d_b, d_e >= d_a`` also from the computational
+    and the Fourier measurement, then from seeded Haar ones), each
+    minimizing the larger mutual information subject to the smaller one
+    staying below ``eps`` by rounds of Riemannian L-BFGS on an augmented
+    Lagrangian, with a multiplier update after each round (see
     :func:`_solve_restart`).  A restart is feasible when every constraint
     holds within ``FEASIBLE_TOL``.  Returns the best feasible candidate: the
     lowest restart index whose ``i_rb`` lies within ``TIE_TOL`` of the
@@ -707,7 +706,7 @@ def optimize_xi(
     # family stays on it, where I(R:E) = I(R:B); only at unbounded privacy
     # can that be feasible.  Rounding can still grow rows off |kk> while the
     # restart runs (to 1.5e-6 on random_density(9, 9, 3005) at 3 x 4000).
-    if math.isinf(eps):
+    if math.isinf(eps) and min(d_b, d_e) >= d_a:
         starts += [
             _measurement_start(np.eye(d_a, dtype=complex), d_a, d_b, d_e),
             _measurement_start(isometries.fourier_basis(d_a), d_a, d_b, d_e),

@@ -37,8 +37,8 @@ from . import states as st
 CLOSED_FORM_TOL = 1e-9
 OPTIMIZER_TOL = 2e-2
 SWEEP_TOL = 5e-2
-# Round-off allowance on the closed-form bounds of the sandwich.
-BOUND_SLACK = 1e-6
+# Round-off allowance on every side of the bound sandwich.
+BOUND_SLACK = 1e-9
 
 __all__ = [
     "SandwichRow", "ScenarioReport", "available_scenarios", "bell_line", "bell_one_bit",
@@ -135,9 +135,9 @@ def bell_one_bit() -> dict[str, float]:
 
 
 class SandwichRow(NamedTuple):
-    """One state against ``prop1_lower <= estimate <= min(povm_upper,
-    half_qmi_upper)``; a slack is the margin after the tolerances, negative
-    on a violation."""
+    """One state against ``prop1_lower - BOUND_SLACK <= estimate <=
+    min(povm_upper, half_qmi_upper) + BOUND_SLACK``; a slack is the margin
+    left on its side, negative on a violation."""
 
     seed: int
     bounds: dec.BoundsReport
@@ -154,32 +154,20 @@ class SandwichRow(NamedTuple):
         return self.upper_slack >= 0.0
 
 
-def sandwich_row(
-    rho: st.DensityMatrix,
-    seed: int,
-    restarts: int,
-    iterations: int,
-    povm_slack: float = OPTIMIZER_TOL,
-    half_slack: float = BOUND_SLACK,
-) -> SandwichRow:
+def sandwich_row(rho: st.DensityMatrix, seed: int, restarts: int, iterations: int) -> SandwichRow:
     """Bounds and the unbounded-privacy estimate of one state, both searched
-    at ``restarts`` x ``iterations`` from ``seed``."""
+    at ``restarts`` x ``iterations`` from ``seed``, held to the sandwich
+    within round-off (``BOUND_SLACK``) on every side."""
     opts = dec.OptimizerOptions(restarts=restarts, iterations=iterations, seed=seed)
     bounds = dec.bounds_report(rho, dec.UNBOUNDED, opts)
     outcome = dec.optimize_xi(rho, dec.UNBOUNDED, opts)
-    upper = min(bounds.povm_upper + povm_slack, bounds.half_qmi_upper + half_slack)
+    upper = min(bounds.povm_upper, bounds.half_qmi_upper) + BOUND_SLACK
     lower_slack = outcome.i_rb - (bounds.prop1_lower - BOUND_SLACK)
     return SandwichRow(seed, bounds, outcome, lower_slack, upper - outcome.i_rb)
 
 
 def bound_sandwich(
-    dims: Sequence[int],
-    samples: int,
-    seed: int,
-    restarts: int,
-    iterations: int,
-    povm_slack: float = OPTIMIZER_TOL,
-    half_slack: float = BOUND_SLACK,
+    dims: Sequence[int], samples: int, seed: int, restarts: int, iterations: int
 ) -> list[SandwichRow]:
     """:func:`sandwich_row` on ``samples`` full-rank random states on
     ``dims = (d_R, d_A)``; sample ``k`` seeds its state and search with
@@ -189,7 +177,7 @@ def bound_sandwich(
     rows = []
     for k in range(qmat.count(samples, 1, "samples")):
         rho = st.random_density(d_r * d_a, d_r * d_a, seed + k, labels=("R", "A"), dims=(d_r, d_a))
-        rows.append(sandwich_row(rho, seed + k, restarts, iterations, povm_slack, half_slack))
+        rows.append(sandwich_row(rho, seed + k, restarts, iterations))
     return rows
 
 

@@ -197,9 +197,7 @@ def test_criterion_06c_qubit_measurements_searched_to_the_grid_minimum():
 
 def test_criterion_06b_bound_sandwich_on_3x3_states():
     start = time.perf_counter()
-    rows = scn.bound_sandwich(
-        (3, 3), 10, 3300, restarts=4, iterations=600, povm_slack=1e-4, half_slack=1e-4
-    )
+    rows = scn.bound_sandwich((3, 3), 10, 3300, restarts=4, iterations=600)
     violations, worst_slack = _sandwich_summary(rows)
     elapsed = time.perf_counter() - start
     ok = violations == 0

@@ -376,6 +376,17 @@ def test_bad_fidelity_is_a_usage_error(tmp_path, capsys, fidelity):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["bell", "isotropic"])
+def test_one_level_entangled_pair_is_a_usage_error(tmp_path, capsys, kind):
+    # It used to pass argparse and fail in the state builder (exit 3).
+    out = tmp_path / "state.json"
+    with pytest.raises(SystemExit) as err:
+        main(["make-state", kind, "--d", "1", "--out", str(out)])
+    assert err.value.code == 2
+    assert "argument --d: must be an integer >= 2, got 1\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "abc"])
 def test_bad_tol_is_a_usage_error(tmp_path, capsys, tol):
     # Trace one but not positive: a NaN or infinite tolerance used to pass

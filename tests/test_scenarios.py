@@ -1,13 +1,17 @@
+import dataclasses
 import json
 
 import pytest
 
+from pqdec import decoupling as dec
 from pqdec.cli import main
 from pqdec.scenarios import (
     available_scenarios,
     run_all,
     run_scenario,
+    sandwich_row,
 )
+from pqdec.states import isotropic
 
 EXPECTED_NAMES = (
     "pure_conservation",
@@ -80,3 +84,22 @@ def test_json_schema(tmp_path, capsys):
         assert set(entry) == {"name", "passed", "metrics", "tolerance", "seed"}
         assert entry["passed"] is True
         assert isinstance(entry["metrics"], dict)
+
+
+@pytest.mark.parametrize(
+    "bound, shift, flags",
+    [("povm_upper", 1e-6, (True, False)), ("prop1_lower", -1e-8, (False, True))],
+)
+def test_sandwich_allows_round_off_only(monkeypatch, bound, shift, flags):
+    """An estimate just past either bound is flagged: the sandwich allows
+    ``BOUND_SLACK`` (1e-9) on every side, not a search's shortfall."""
+    search = dec.optimize_xi
+
+    def shifted(state, eps, opts):
+        edge = getattr(dec.bounds_report(state, eps, opts), bound)
+        return dataclasses.replace(search(state, eps, opts), i_rb=edge + shift)
+
+    monkeypatch.setattr(dec, "optimize_xi", shifted)
+    row = sandwich_row(isotropic(2, 0.9), 0, restarts=2, iterations=200)
+    assert row.bounds.prop1_lower < row.bounds.povm_upper < row.bounds.half_qmi_upper
+    assert (row.lower_ok, row.upper_ok) == flags
