@@ -27,11 +27,9 @@ from .decoupling import (
     xi_infinity,
 )
 from .entropics import (
-    EntropyReport,
     coherent_information,
     conditional_mutual_information,
     entropy,
-    entropy_report,
     mutual_information,
     subsystem_entropy,
 )

@@ -141,6 +141,19 @@ def _check_eps(eps: float) -> float:
     return qmat.real(eps, 0.0, "privacy level", unbounded=True)
 
 
+def _prop1(ic: float, eps: float) -> float:
+    return max(2.0 * ic - eps, ic, 0.0)
+
+
+def _qmi_and_ic(state: DensityMatrix) -> tuple[float, float]:
+    """``(I(R:A), I(A>R))`` from one entropy each of R, A and RA."""
+    r, a, _, _ = _bipartite(state)
+    s_r = entropics.subsystem_entropy(state, r)
+    s_a = entropics.subsystem_entropy(state, a)
+    s_ra = entropics.subsystem_entropy(state, (r, a))
+    return s_r + s_a - s_ra, s_r - s_ra
+
+
 def prop1_lower(state: DensityMatrix, eps: float = UNBOUNDED) -> float:
     """Lower bound ``max(2 ic - eps, ic, 0)`` on the optimal kept correlations.
 
@@ -150,8 +163,7 @@ def prop1_lower(state: DensityMatrix, eps: float = UNBOUNDED) -> float:
     """
     eps = _check_eps(eps)
     r, a, _, _ = _bipartite(state)
-    ic = entropics.coherent_information(state, a, r)
-    return max(2.0 * ic - eps, ic, 0.0)
+    return _prop1(entropics.coherent_information(state, a, r), eps)
 
 
 def half_qmi_upper(state: DensityMatrix) -> float:
@@ -767,16 +779,14 @@ def bounds_report(
     and a violation raises :class:`ValidationError`.
     """
     eps = _check_eps(eps)
-    r, a, _, _ = _bipartite(state)
-    qmi = entropics.mutual_information(state, r, a)
-    ic = entropics.coherent_information(state, a, r)
+    qmi, ic = _qmi_and_ic(state)
     report = BoundsReport(
         qmi=qmi,
         ic_a_to_r=ic,
-        prop1_lower=prop1_lower(state, eps),
+        prop1_lower=_prop1(ic, eps),
         half_qmi_upper=0.5 * qmi,
         povm_upper=povm_upper(state, opts),
-        xi_infinity=max(ic, 0.0),
+        xi_infinity=_prop1(ic, UNBOUNDED),
     )
     if report.xi_infinity > report.half_qmi_upper + 1e-9:
         raise ValidationError(
@@ -837,7 +847,7 @@ def rates_sweep(
         raise ValidationError("privacy grid is empty")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValidationError("privacy grid must be ascending")
-    half = half_qmi_upper(state)
+    qmi, ic = _qmi_and_ic(state)
     rows = []
     warm = opts.warm_theta
     envelope = math.inf
@@ -851,8 +861,8 @@ def rates_sweep(
                 xi_envelope=envelope,
                 i_rb=outcome.i_rb,
                 i_re=outcome.i_re,
-                prop1_lower=prop1_lower(state, eps),
-                half_qmi_upper=half,
+                prop1_lower=_prop1(ic, eps),
+                half_qmi_upper=0.5 * qmi,
                 feasible=outcome.feasible,
                 restarts_used=outcome.restarts_used,
                 converged=outcome.converged,

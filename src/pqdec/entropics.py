@@ -7,7 +7,6 @@ rank-deficient states exact instead of producing NaNs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -19,23 +18,13 @@ EIGENVALUE_CLAMP = 1e-12
 
 __all__ = [
     "EIGENVALUE_CLAMP",
-    "EntropyReport",
     "coherent_information",
     "conditional_mutual_information",
     "entropy",
-    "entropy_report",
     "mutual_information",
     "spectrum_entropy",
     "subsystem_entropy",
 ]
-
-
-@dataclass(frozen=True)
-class EntropyReport:
-    """Joint entropy of a state and the entropy of each single factor."""
-
-    joint: float
-    factors: dict[str, float]
 
 
 def spectrum_entropy(eigenvalues: np.ndarray) -> float | np.ndarray:
@@ -66,11 +55,6 @@ def subsystem_entropy(state: DensityMatrix, labels: str | Sequence[str]) -> floa
     """Entropy of the reduced state on the named factors."""
     reduced = qmat.partial_trace(state.matrix, state.sig, _group(labels))
     return spectrum_entropy(np.linalg.eigvalsh(reduced))
-
-
-def entropy_report(state: DensityMatrix) -> EntropyReport:
-    factors = {x: subsystem_entropy(state, x) for x in state.sig.labels}
-    return EntropyReport(joint=entropy(state), factors=factors)
 
 
 def mutual_information(

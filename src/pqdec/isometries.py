@@ -118,10 +118,6 @@ def _check_orthonormal(m: np.ndarray, message: str) -> None:
         raise ValidationError(message.format(defect=defect, tol=qmat.UNITARITY_TOL))
 
 
-def _out_sig(d_b: int, d_e: int, labels: tuple[str, str]) -> DimSig:
-    return DimSig((d_b, d_e), labels)
-
-
 def twirl_isometry(d: int, labels: tuple[str, str] = ("B", "E")) -> Isometry:
     """Splitting that replaces the input with half of a fresh entangled pair.
 
@@ -137,7 +133,7 @@ def twirl_isometry(d: int, labels: tuple[str, str] = ("B", "E")) -> Isometry:
         for a in range(d):
             # row index over (B, E1, E2) with E = E1 (x) E2
             m[(b * d + b) * d + a, a] = s
-    return Isometry(m, _out_sig(d, d * d, labels), d)
+    return Isometry(m, DimSig((d, d * d), labels), d)
 
 
 def fourier_basis(d: int) -> np.ndarray:
@@ -159,7 +155,7 @@ def mub_shredder(d: int, labels: tuple[str, str] = ("B", "E")) -> Isometry:
     e = fourier_basis(d)
     # (b, e_out, a) <- sum_k e[b, k] conj(e[a, k]) e[e_out, k]
     m = np.einsum("bk,ak,ek->bea", e, e.conj(), e).reshape(d * d, d)
-    return Isometry(m, _out_sig(d, d, labels), d)
+    return Isometry(m, DimSig((d, d), labels), d)
 
 
 def pauli_twirl_isometry(labels: tuple[str, str] = ("B", "E")) -> Isometry:
@@ -176,7 +172,7 @@ def pauli_twirl_isometry(labels: tuple[str, str] = ("B", "E")) -> Isometry:
         for b in range(2):
             for a in range(2):
                 m[b * 4 + i, a * 4 + i] = sigma[b, a]
-    return Isometry(m, _out_sig(2, 4, labels), 8)
+    return Isometry(m, DimSig((2, 4), labels), 8)
 
 
 def bell_basis() -> np.ndarray:
@@ -221,7 +217,7 @@ def povm_isometry(p: RankOnePovm, labels: tuple[str, str] = ("B", "E")) -> Isome
     n = len(p.vectors)
     m = np.zeros((n * n, p.dim), dtype=complex)
     m[record_rows(n, n)] = np.conj(p.vectors)
-    return Isometry(m, _out_sig(n, n, labels), p.dim)
+    return Isometry(m, DimSig((n, n), labels), p.dim)
 
 
 def random_unitary_channel_dilation(
@@ -246,7 +242,7 @@ def random_unitary_channel_dilation(
     m = np.zeros((d * k, d), dtype=complex)
     for i, (w, u) in enumerate(zip(ps, us)):
         m[i::k, :] = np.sqrt(w) * u
-    return Isometry(m, _out_sig(d, k, labels), d)
+    return Isometry(m, DimSig((d, k), labels), d)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +268,7 @@ def isometry_from_json(text: str | bytes) -> Isometry:
     except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
         raise ValidationError(f"malformed isometry document: {exc}") from exc
     m = qmat.matrix_from_entries(entries, d_b * d_e, d_in)
-    return Isometry(m, _out_sig(d_b, d_e, ("B", "E")), d_in)
+    return Isometry(m, DimSig((d_b, d_e), ("B", "E")), d_in)
 
 
 def save_isometry(v: Isometry, path) -> None:

@@ -95,9 +95,6 @@ class DimSig:
         except ValueError:
             raise KeyError(f"no factor labeled {label!r} in {self.labels}") from None
 
-    def dim(self, label: str) -> int:
-        return self.dims[self.axis(label)]
-
     def subset(self, keep: Iterable[str]) -> "DimSig":
         """Signature of the factors in ``keep``, in the order they appear here."""
         keep = set(keep)

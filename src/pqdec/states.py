@@ -76,10 +76,6 @@ class DensityMatrix:
         sub = self.sig.subset(keep)
         return DensityMatrix(qmat.partial_trace(self.matrix, self.sig, keep), sub)
 
-    def relabeled(self, mapping: dict[str, str]) -> "DensityMatrix":
-        labels = tuple(mapping.get(x, x) for x in self.sig.labels)
-        return DensityMatrix(self.matrix, DimSig(self.sig.dims, labels))
-
 
 @dataclass(frozen=True)
 class PureState:
@@ -307,11 +303,12 @@ def state_to_json(state: DensityMatrix) -> str:
 def state_from_json(text: str | bytes, tol: float = qmat.DENSITY_TOL) -> DensityMatrix:
     try:
         payload = json.loads(text)
-        labels = tuple(payload["labels"])
-        dims = tuple(payload["dims"])
-        entries = payload["matrix"]
+        labels, dims, entries = payload["labels"], payload["dims"], payload["matrix"]
     except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
         raise ValidationError(f"malformed state document: {exc}") from exc
+    for key, value in (("labels", labels), ("dims", dims)):
+        if not isinstance(value, list):
+            raise ValidationError(f"malformed state document: {key!r} must be a list, got {value!r}")
     sig = DimSig(dims, labels)
     m = qmat.matrix_from_entries(entries, sig.side, sig.side)
     return as_density(m, sig, tol)

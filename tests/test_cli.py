@@ -488,6 +488,16 @@ def test_malformed_state_is_a_validation_failure(tmp_path, capsys, corrupt):
     assert "validation failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("labels", ["RA", {"R": 1, "A": 2}], ids=["string", "dict"])
+def test_labels_not_given_as_a_list_are_rejected(tmp_path, capsys, labels):
+    doc = bell_document()
+    doc["labels"] = labels
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["entropy", "--state", str(path)]) == 3
+    assert "malformed state document" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("raw", [b"\xff\xfe", b"\x80{}"], ids=["utf16_bom", "bad_utf8"])
 def test_undecodable_state_is_a_validation_failure(tmp_path, capsys, raw):
     path = tmp_path / "bad.json"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pqdec import decoupling as dec
+from pqdec import entropics
 from pqdec import qmat
 from pqdec.decoupling import (
     UNBOUNDED,
@@ -1036,6 +1037,44 @@ class TestBoundsReport:
         assert calls == []
         DensityMatrix(study.matrix, study.sig)
         assert calls == [1]
+
+    def test_each_entropy_once(self, monkeypatch):
+        # bounds_report and rates_sweep take S(R), S(A) and S(RA) once each;
+        # the rest are the stop values, S(R) and S(AR), of povm_upper and of
+        # each point's optimize_xi.
+        sweep = random_density(9, 9, 3, labels=("R", "A"), dims=(3, 3))
+        calls = []
+        entropy = entropics.subsystem_entropy
+        monkeypatch.setattr(entropics, "subsystem_entropy", lambda *a: calls.append(1) or entropy(*a))
+        opts = OptimizerOptions(restarts=2, iterations=80, seed=0)
+        bounds_report(sweep, UNBOUNDED, opts)
+        assert len(calls) == 5
+        calls.clear()
+        rates_sweep(sweep, [0.0, 0.02, 0.04, UNBOUNDED], opts)
+        assert len(calls) == 3 + 4 * 2
+
+    def test_each_field_has_one_home(self):
+        # A report field and a sweep row column are the public function's
+        # value, bit for bit, not a second formula for it.
+        opts = OptimizerOptions(restarts=2, iterations=80, seed=0)
+        grid = [0.0, 0.3, UNBOUNDED]
+        for rho in (
+            BELL,
+            isotropic(2, 0.9),
+            random_density(9, 9, 3, labels=("R", "A"), dims=(3, 3)),
+            random_density(4, 2, 5, labels=("R", "A"), dims=(2, 2)),
+            random_separable(2, 2, 3, 1),
+        ):
+            for eps in grid:
+                rep = bounds_report(rho, eps, opts)
+                assert rep.qmi == mutual_information(rho, "R", "A")
+                assert rep.ic_a_to_r == coherent_information(rho, "A", "R")
+                assert rep.prop1_lower == prop1_lower(rho, eps)
+                assert rep.half_qmi_upper == half_qmi_upper(rho)
+                assert rep.xi_infinity == xi_infinity(rho)
+            for row in rates_sweep(rho, grid, opts).rows:
+                assert row.prop1_lower == prop1_lower(rho, row.eps)
+                assert row.half_qmi_upper == half_qmi_upper(rho)
 
     def test_bell_report(self):
         rep = bounds_report(BELL, UNBOUNDED, FAST)

@@ -75,7 +75,6 @@ class TestDimSig:
         sig = DimSig((2, 3, 4), ("R", "A", "B"))
         assert sig.side == 24
         assert sig.axis("A") == 1
-        assert sig.dim("B") == 4
         assert sig.subset(["B", "R"]) == DimSig((2, 4), ("R", "B"))
 
     def test_rejects_malformed(self):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -34,14 +36,11 @@ def test_pure_state_norm_checked():
         PureState(np.array([1.0, 1.0]), DimSig((2,), ("Q",)))
 
 
-def test_marginal_and_relabel():
+def test_marginal():
     rho = random_density(6, 6, 0, labels=("R", "A"), dims=(2, 3))
     r = rho.marginal("R")
     assert r.sig == DimSig((2,), ("R",))
     assert abs(np.trace(r.matrix).real - 1.0) <= 1e-12
-    renamed = rho.relabeled({"A": "B"})
-    assert renamed.sig.labels == ("R", "B")
-    assert renamed.matrix is rho.matrix
 
 
 def test_max_entangled_vector():
@@ -202,6 +201,19 @@ def test_json_rejects_malformed_documents():
         state_from_json('{"labels": ["R"], "dims": [2]}')
     with pytest.raises(ValidationError):
         state_from_json('{"labels": ["R"], "dims": [2], "matrix": [[1.0, 0.0]]}')
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("labels", "RA"), ("labels", {"R": 1, "A": 2}), ("labels", 5), ("dims", "22"), ("dims", 4)],
+    ids=["labels_string", "labels_dict", "labels_number", "dims_string", "dims_number"],
+)
+def test_json_labels_and_dims_must_be_lists(key, value):
+    # A string or a dict of labels used to load as its characters or keys.
+    doc = json.loads(state_to_json(to_density(max_entangled(2))))
+    doc[key] = value
+    with pytest.raises(ValidationError, match=f"malformed state document: '{key}' must be a list"):
+        state_from_json(json.dumps(doc))
 
 
 def test_as_density_cleans_but_validates():
