@@ -181,7 +181,7 @@ def xi_infinity(state: DensityMatrix) -> float:
     return prop1_lower(state)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundsReport:
     """Closed-form bounds plus the measurement-search upper bound for one state."""
 
@@ -197,7 +197,7 @@ class BoundsReport:
 # Optimizer
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OptimizerOptions:
     """Knobs for the multistart searches.
 
@@ -243,15 +243,18 @@ class OptimizerOptions:
                 object.__setattr__(self, name, qmat.count(value, least, name))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class DecouplingOutcome:
     """Best candidate found by :func:`optimize_xi`.
 
     ``theta`` is the matrix of the certificate isometry, of shape
-    ``(d_b*d_e, d_a)`` with orthonormal columns (:func:`outcome_isometry`
-    wraps it with its output signature); ``i_rb``/``i_re`` are its canonical
+    ``(d_b*d_e, d_a)`` with orthonormal columns, a copy that owns its memory
+    rather than a view of the search's stack (:func:`outcome_isometry` wraps
+    it with its output signature); ``i_rb``/``i_re`` are its canonical
     scores, the larger first, except that an infeasible outcome with unequal
     outputs reports the share of E, the one that leaks, as ``i_re``.
+    Outcomes, like the other array-holding values, compare and hash by
+    identity.
     """
 
     theta: np.ndarray
@@ -732,7 +735,7 @@ def optimize_xi(
         best = min(results, key=lambda r: r["i_re"])
 
     return DecouplingOutcome(
-        theta=best["x"],
+        theta=best["x"].copy(),
         i_rb=float(best["i_rb"]),
         i_re=float(best["i_re"]),
         epsilon=eps,
@@ -805,7 +808,7 @@ def bounds_report(
 # Privacy-level sweep
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     """One point of :func:`rates_sweep`: ``i_rb``, ``i_re``, ``feasible``,
     ``restarts_used`` and ``converged`` of :func:`optimize_xi` at ``eps``;
@@ -824,7 +827,7 @@ class SweepRow:
     converged: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepResult:
     rows: tuple[SweepRow, ...]
 

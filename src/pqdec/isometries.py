@@ -45,7 +45,7 @@ PAULI = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Isometry:
     """Matrix of an isometry together with the signature of its output factors.
 
@@ -85,7 +85,7 @@ class Isometry:
         return self.out_sig.dims[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class RankOnePovm:
     """Rank-one measurement given by sub-normalized kets with sum |v><v| = 1."""
 

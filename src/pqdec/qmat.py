@@ -58,7 +58,7 @@ class ValidationError(ValueError):
     """An input broke a rule or failed a structural check (hermiticity, trace, ...)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DimSig:
     """Ordered dimensions and labels of the tensor factors of a composite system.
 

@@ -241,7 +241,7 @@ def bell_line(grid: Sequence[float], restarts: int, iterations: int, seed: int) 
 # Scenarios: each maps its seed to claim inputs and the result to metrics.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScenarioReport:
     name: str
     passed: bool

@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class DensityMatrix:
     """A density matrix together with the signature of its tensor factors.
 
@@ -77,7 +77,7 @@ class DensityMatrix:
         return DensityMatrix(qmat.partial_trace(self.matrix, self.sig, keep), sub)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class PureState:
     """A unit vector together with the signature of its tensor factors."""
 

@@ -473,6 +473,53 @@ class TestOptimize:
                 assert np.linalg.norm(res["x"][off]) <= 1e-9
                 assert abs(res["i_rb"] - res["i_re"]) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "rho, eps, opts",
+        [
+            (
+                random_density(4, 4, 20, labels=("R", "A"), dims=(2, 2)),
+                UNBOUNDED,
+                OptimizerOptions(restarts=6, iterations=800, seed=0),
+            ),
+            # The defaults: 32 restarts, whose last round runs in a (31, 9, 3) stack.
+            (random_density(9, 9, 3, labels=("R", "A"), dims=(3, 3)), UNBOUNDED, None),
+            (
+                random_density(4, 2, 0, labels=("R", "A"), dims=(2, 2)),
+                0.05,
+                OptimizerOptions(d_b=2, d_e=3, restarts=4, iterations=400, seed=0),
+            ),
+        ],
+        ids=["2x2", "3x3-defaults", "unequal-outputs"],
+    )
+    def test_certificate_owns_its_memory(self, rho, eps, opts):
+        # A kept outcome must not keep the stack of the search's last round.
+        theta = optimize_xi(rho, eps, opts).theta
+        assert theta.base is None
+        assert theta.flags.c_contiguous
+
+    def test_array_holding_values_compare_by_identity(self):
+        # Field-wise == on an array field would raise "truth value ... is
+        # ambiguous", and a generated __hash__ would raise on the array.
+        rho = random_density(4, 4, 20, labels=("R", "A"), dims=(2, 2))
+        twin = random_density(4, 4, 20, labels=("R", "A"), dims=(2, 2))
+        a, b = (optimize_xi(rho, UNBOUNDED, FAST) for _ in range(2))
+        assert np.array_equal(a.theta, b.theta)
+        pairs = [
+            (rho, twin),
+            (a, b),
+            (outcome_isometry(a), outcome_isometry(b)),
+            (max_entangled(2), max_entangled(2)),
+            (RankOnePovm(tuple(np.eye(2))), RankOnePovm(tuple(np.eye(2)))),
+        ]
+        for x, y in pairs:
+            assert x == x and x != y
+            assert x in [y, x] and x not in [y]
+            assert hash(x) != hash(y) and {x, y} == {y, x}
+        # Values without arrays still compare by value.
+        assert bounds_report(rho, UNBOUNDED, FAST) == bounds_report(twin, UNBOUNDED, FAST)
+        assert OptimizerOptions(seed=3) == OptimizerOptions(seed=3)
+        assert rho.sig == twin.sig and hash(rho.sig) == hash(twin.sig)
+
 
 class TestPovmUpper:
     def test_pure_state_pinned_at_reference_entropy(self):

@@ -3,6 +3,7 @@ re-exports only names its modules export, so ``import *`` cannot break on a
 stale entry."""
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
@@ -28,3 +29,18 @@ def test_package_imports_only_exported_names():
         exported = importlib.import_module(f"pqdec.{node.module}").__all__
         stray = [a.name for a in node.names if a.name not in exported]
         assert stray == [], f"pqdec imports {stray} from pqdec.{node.module}, not in its __all__"
+
+
+def test_exported_dataclasses_are_frozen_and_slotted():
+    # A kept result carries no per-instance __dict__, and no caller can
+    # rebind a field of a checked value.
+    classes = [
+        getattr(module, x)
+        for module in map(importlib.import_module, (f"pqdec.{name}" for name in MODULES))
+        for x in module.__all__
+        if dataclasses.is_dataclass(getattr(module, x))
+    ]
+    assert len(classes) == 11
+    for cls in classes:
+        assert cls.__dataclass_params__.frozen, f"{cls.__name__} is not frozen"
+        assert "__slots__" in vars(cls), f"{cls.__name__} has no __slots__"
