@@ -22,15 +22,18 @@ import os
 import sys
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import decoupling as dec
 from . import entropics as ent
 from . import qmat
 from . import states as st
-from .isometries import isometry_to_json, save_isometry
 from .qmat import ValidationError
+
+# Only the commands that search import the search modules, when they run.
+if TYPE_CHECKING:
+    from . import decoupling as dec
 
 __all__ = ["build_parser", "main"]
 
@@ -82,7 +85,12 @@ def _checked(check, what: str):
     return parse
 
 
-_eps_value = _checked(lambda text: dec._check_eps(float(text)), "a privacy level")
+def _privacy_level(text: str) -> float:
+    """A privacy level by the rule and message of the search's entry points."""
+    return qmat.real(float(text), 0.0, "privacy level", unbounded=True)
+
+
+_eps_value = _checked(_privacy_level, "a privacy level")
 _tol_value = _checked(lambda text: qmat.real(float(text), 0.0, "validation tolerance"), "a tolerance")
 _fidelity_value = _checked(
     lambda text: qmat.real(float(text), 0.0, "fidelity weight", most=1.0), "a fidelity weight"
@@ -101,7 +109,7 @@ def _grid(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"grid must look like A:B:STEP, got {text!r}")
-    lo, hi = (dec._check_eps(float(p)) for p in parts[:2])
+    lo, hi = map(_privacy_level, parts[:2])
     step = float(parts[2])
     unbounded = [end for end, v in (("A", lo), ("B", hi)) if math.isinf(v)]
     if unbounded:
@@ -143,6 +151,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _opts(args: argparse.Namespace) -> dec.OptimizerOptions:
+    from . import decoupling as dec
+
     return dec.OptimizerOptions(
         d_b=getattr(args, "d_b", None),
         d_e=getattr(args, "d_e", None),
@@ -201,6 +211,8 @@ def _cmd_qmi(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    from . import decoupling as dec
+
     state = _load(args)
     report = dec.bounds_report(state, args.eps, _opts(args))
     _emit(json.dumps(_record(report), indent=2), args.out)
@@ -208,6 +220,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
+    from . import decoupling as dec
+    from .isometries import isometry_to_json, save_isometry
+
     state = _load(args)
     outcome = dec.optimize_xi(state, args.eps, _opts(args))
     certificate = dec.outcome_isometry(outcome)
@@ -220,6 +235,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from . import decoupling as dec
+
     state = _load(args)
     result = dec.rates_sweep(state, args.eps_grid, _opts(args))
     _emit(_table([f.name for f in fields(dec.SweepRow)], map(astuple, result.rows)), args.out)
@@ -241,6 +258,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_random_study(args: argparse.Namespace) -> int:
+    from . import decoupling as dec
     from . import scenarios
 
     bounds = [f.name for f in fields(dec.BoundsReport)]
@@ -298,14 +316,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="closed-form and measurement-search bounds as JSON")
     _add_state_arg(p)
-    p.add_argument("--eps", type=_eps_value, default=dec.UNBOUNDED, help="privacy level (default inf)")
+    p.add_argument("--eps", type=_eps_value, default=math.inf, help="privacy level (default inf)")
     p.add_argument("--out", default=None, help="also write the JSON here")
     _add_optimizer_flags(p)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("optimize", help="minimize kept correlations under a leak cap")
     _add_state_arg(p)
-    p.add_argument("--eps", type=_eps_value, default=dec.UNBOUNDED, help="privacy level (default inf)")
+    p.add_argument("--eps", type=_eps_value, default=math.inf, help="privacy level (default inf)")
     p.add_argument("--out", default=None, help="also write the outcome JSON here")
     p.add_argument("--certificate", default=None, help="write the certificate isometry JSON here")
     _add_optimizer_flags(p, with_dims=True)

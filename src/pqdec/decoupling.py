@@ -18,7 +18,7 @@ command line); it is the distinguished IEEE infinity, detectable with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import Generator, Sequence
 
@@ -197,7 +197,7 @@ class BoundsReport:
 # Optimizer
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class OptimizerOptions:
     """Knobs for the multistart searches.
 
@@ -224,6 +224,9 @@ class OptimizerOptions:
 
     ``threads`` is deprecated and ignored: the restarts of a search run in
     lockstep in one thread, and results never depended on it.
+
+    Options compare and hash by value, ``warm_theta`` by its dtype, shape
+    and bytes (a ragged nesting, which no search accepts, by identity).
     """
 
     d_b: int | None = None
@@ -241,6 +244,24 @@ class OptimizerOptions:
             value = getattr(self, name)
             if value is not None or name in required:
                 object.__setattr__(self, name, qmat.count(value, least, name))
+
+    def _key(self) -> tuple:
+        w = self.warm_theta
+        if w is not None:
+            try:
+                a = np.asarray(w)
+                w = (a.dtype.str, a.shape, a.tobytes())
+            except ValueError:  # ragged nesting, which a search rejects
+                w = id(w)
+        return (*(getattr(self, f.name) for f in fields(self) if f.name != "warm_theta"), w)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 @dataclass(frozen=True, slots=True, eq=False)

@@ -6,7 +6,7 @@ claims use a 1e-9 tolerance, optimizer claims use the documented slacks, and
 the stated wall-clock budgets are asserted where a claim carries one.  Each
 criterion computes its claim with the function in ``pqdec.scenarios`` that
 the matching ``pqdec verify`` scenario also calls; criteria 06c (the qubit
-measurement grid), 08 (the isotropic oracle) and 11 live here only.
+measurement grid), 08 (the isotropic oracle), 11 and 12 live here only.
 """
 
 import functools
@@ -16,6 +16,7 @@ import numpy as np
 
 from pqdec import scenarios as scn
 from pqdec.decoupling import (
+    FEASIBLE_TOL,
     UNBOUNDED,
     OptimizerOptions,
     apply_isometry,
@@ -26,7 +27,7 @@ from pqdec.decoupling import (
     prop1_lower,
     xi_infinity,
 )
-from pqdec.entropics import coherent_information, mutual_information
+from pqdec.entropics import coherent_information, mutual_information, subsystem_entropy
 from pqdec.isometries import RankOnePovm, povm_isometry
 from pqdec.qmat import kron
 from pqdec.states import (
@@ -34,6 +35,7 @@ from pqdec.states import (
     isotropic,
     max_entangled,
     random_density,
+    random_pure,
     random_unitary,
     to_density,
 )
@@ -286,4 +288,30 @@ def test_criterion_11_local_unitary_invariance():
         ok,
         f"closed-form drift {worst_closed:.2e} (tol 1e-9), "
         f"optimizer drift {worst_est:.2e} (tol 2e-2) over 20 states",
+    )
+
+
+def test_criterion_12_pure_states_exact_at_every_eps():
+    # On a pure input the optimum is prop1_lower at every privacy level, so
+    # the search must reach it, not merely stay below the upper bounds.
+    start = time.perf_counter()
+    failures, lo, hi = [], 0.0, 0.0
+    for d in (2, 3, 4):
+        for s in range(8):
+            rho = to_density(random_pure([d, d], 900 + s, labels=("R", "A")))
+            s_a = subsystem_entropy(rho, "A")
+            opts = OptimizerOptions(restarts=4, iterations=600, seed=s)
+            for frac in (0.0, 0.1, 0.5, 0.9, 1.2):
+                out = optimize_xi(rho, frac * s_a, opts)
+                gap = out.i_rb - prop1_lower(rho, frac * s_a)
+                lo, hi = min(lo, gap), max(hi, gap)
+                if not (out.feasible and out.converged and -FEASIBLE_TOL <= gap <= 1e-6):
+                    failures.append((d, s, frac, gap, out.feasible, out.converged))
+    elapsed = time.perf_counter() - start
+    ok = not failures and elapsed < 10.0
+    report(
+        12,
+        ok,
+        f"{len(failures)} of 120 pure-state searches off prop1_lower "
+        f"(gaps in [{lo:.1e}, {hi:.1e}], tol [-{FEASIBLE_TOL:g}, 1e-6]), {elapsed:.1f}s (cap 10s)",
     )

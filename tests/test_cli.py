@@ -508,16 +508,56 @@ def test_undecodable_state_is_a_validation_failure(tmp_path, capsys, raw):
         load_isometry(path)
 
 
-def test_cli_import_loads_no_scenarios():
-    # Only verify and random-study need the scenarios; they import them when run.
+_LOADS = """
+import contextlib, io, json, sys
+search = {"pqdec.decoupling", "pqdec.isometries", "pqdec.scenarios"}
+import pqdec
+seen = {"import pqdec": sorted(m for m in sys.modules if m.startswith("pqdec."))}
+from pqdec.cli import main
+seen["import pqdec.cli"] = sorted(search & set(sys.modules))
+state = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["make-state", "bell", "--out", state]), main(["entropy", "--state", state]),
+             main(["qmi", "--state", state, "--x", "R", "--y", "A"])]
+seen["light commands"] = sorted(search & set(sys.modules))
+print(json.dumps([codes, seen]))
+"""
+
+
+def test_cli_import_loads_no_scenarios(tmp_path):
+    # Only the commands that search load the search modules, and only
+    # verify and random-study the scenarios; each imports them when run.
     src = os.path.dirname(os.path.dirname(pqdec.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, pqdec.cli; sys.exit('pqdec.scenarios' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    argv = [sys.executable, "-c", _LOADS, str(tmp_path / "bell.json")]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60, check=True)
+    codes, seen = json.loads(proc.stdout)
+    assert codes == [0, 0, 0]
+    assert seen == {"import pqdec": [], "import pqdec.cli": [], "light commands": []}
+
+
+def _commands(parser, prefix=()):
+    """Every subcommand path of ``parser``, such as ``("make-state", "bell")``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield (*prefix, name)
+                yield from _commands(sub, (*prefix, name))
+
+
+def test_every_subcommand_has_help(capsys):
+    commands = list(_commands(build_parser()))
+    assert len(commands) == 13
+    for command in commands:
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--help"])
+        assert exc.value.code == 0, command
+        assert capsys.readouterr().out.startswith(f"usage: pqdec {' '.join(command)}")
 
 
 def test_import_loads_no_scipy():
+    # Binding every export loads every module the package re-exports.
     src = os.path.dirname(os.path.dirname(pqdec.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, pqdec; sys.exit('scipy' in sys.modules)"
+    code = "import sys; from pqdec import *; sys.exit('scipy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

@@ -515,9 +515,18 @@ class TestOptimize:
             assert x == x and x != y
             assert x in [y, x] and x not in [y]
             assert hash(x) != hash(y) and {x, y} == {y, x}
-        # Values without arrays still compare by value.
+        # Values without arrays still compare by value, and options compare
+        # their warm start by value too.
         assert bounds_report(rho, UNBOUNDED, FAST) == bounds_report(twin, UNBOUNDED, FAST)
         assert OptimizerOptions(seed=3) == OptimizerOptions(seed=3)
+        warm, copy = OptimizerOptions(warm_theta=a.theta), OptimizerOptions(warm_theta=a.theta.copy())
+        assert warm == copy and hash(warm) == hash(copy) and len({warm, copy}) == 1
+        others = [OptimizerOptions(), OptimizerOptions(warm_theta=-a.theta),
+                  OptimizerOptions(warm_theta=a.theta[:, :1]), replace(warm, seed=1)]
+        assert all(warm != other for other in others)
+        ragged = OptimizerOptions(warm_theta=[[1, 2], [3]])
+        assert ragged == ragged and ragged != replace(ragged, warm_theta=[[1, 2], [3]])
+        assert len({ragged, ragged}) == 1
         assert rho.sig == twin.sig and hash(rho.sig) == hash(twin.sig)
 
 

@@ -2,10 +2,12 @@
 re-exports only names its modules export, so ``import *`` cannot break on a
 stale entry."""
 
-import ast
 import dataclasses
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pqdec
@@ -21,14 +23,22 @@ def test_every_exported_name_exists():
 
 
 def test_package_imports_only_exported_names():
-    tree = ast.parse(Path(pqdec.__file__).read_text(encoding="utf-8"))
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
-    assert {node.module for node in imports} <= set(MODULES)
-    assert imports
-    for node in imports:
-        exported = importlib.import_module(f"pqdec.{node.module}").__all__
-        stray = [a.name for a in node.names if a.name not in exported]
-        assert stray == [], f"pqdec imports {stray} from pqdec.{node.module}, not in its __all__"
+    # The lazy table is the package's import list: each name it re-exports
+    # comes from a module that exports it.
+    assert set(pqdec._EXPORTS) <= set(MODULES)
+    assert pqdec.__all__ == [name for names in pqdec._EXPORTS.values() for name in names]
+    for module, names in pqdec._EXPORTS.items():
+        exported = importlib.import_module(f"pqdec.{module}").__all__
+        stray = [name for name in names if name not in exported]
+        assert stray == [], f"pqdec re-exports {stray} from pqdec.{module}, not in its __all__"
+    assert {*pqdec.__all__, *pqdec._EXPORTS} <= set(dir(pqdec))
+    assert not hasattr(pqdec, "no_such_name")
+    src = str(Path(pqdec.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import pqdec; from pqdec import *; print(sorted(set(pqdec.__all__) - set(globals())))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_exported_dataclasses_are_frozen_and_slotted():
